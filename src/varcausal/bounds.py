@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .companion import build_companion, spectrum
+from .companion import _real_part, complete_homogeneous, elementary_symmetric, matrix_power
 from .errors import BadInputError, NumericalError
 from .interventions import InterventionSpec
 from .process import AutocovMatrix, SamplePath, VarModel, autocov_blocks
@@ -97,12 +97,6 @@ def autocorrelation(cov: AutocovMatrix | np.ndarray) -> np.ndarray:
     return dense * scale[:, None] * scale[None, :]
 
 
-def _pair_deltas(pair: ModelPair) -> tuple[float, float]:
-    delta = spectrum(build_companion(pair.truth.coeffs)).max_modulus
-    delta_hat = spectrum(build_companion(pair.fitted.coeffs)).max_modulus
-    return delta, delta_hat
-
-
 def prop1_bound(pair: ModelPair, omega: int, component: int = 1) -> BoundReport:
     """Condition-number bound on the causal-statistical gap.
 
@@ -116,7 +110,8 @@ def prop1_bound(pair: ModelPair, omega: int, component: int = 1) -> BoundReport:
     kappa = condition_number(pair.autocov())
     sigma2 = pair.truth.noise_variance
     rhs = (2.0 * kappa - 1.0) * (s_total - sigma2)
-    delta, delta_hat = _pair_deltas(pair)
+    delta = pair.truth.spectrum.max_modulus
+    delta_hat = pair.fitted.spectrum.max_modulus
     return _report(
         "prop1",
         rhs,
@@ -163,7 +158,8 @@ def cor2_bound(pair: ModelPair, omega: int, k_const: float | None = None) -> Bou
     """
     if pair.d != 1:
         raise BadInputError("the stability bound is stated for scalar processes")
-    delta, delta_hat = _pair_deltas(pair)
+    delta = pair.truth.spectrum.max_modulus
+    delta_hat = pair.fitted.spectrum.max_modulus
     if delta >= 1.0:
         raise NumericalError(f"truth stability parameter {delta:.6f} is not below one")
     q = pair.truth.p
@@ -209,7 +205,7 @@ def schur_tight_bound(
     with per-summand absolute values (the summands carry mixed signs).  Each
     model's Schur values are evaluated on its own nonzero spectrum; an order
     below the common one contributes zero for hooks with too many rows.
-    Falls back to direct companion powers when a spectrum is degenerate.
+    The evaluation is division-free, so repeated roots need no fallback.
 
     The default ``K`` comes from :func:`default_schur_prefactor`; the
     bare constant 2 is NOT sufficient for domination (the top-left power
@@ -218,7 +214,8 @@ def schur_tight_bound(
     """
     if pair.d != 1:
         raise BadInputError("the Schur bound is stated for scalar processes")
-    delta, delta_hat = _pair_deltas(pair)
+    delta = pair.truth.spectrum.max_modulus
+    delta_hat = pair.fitted.spectrum.max_modulus
     if delta_hat >= 1.0:
         raise NumericalError("the Schur bound needs a stable candidate model")
     if delta >= 1.0:
@@ -251,27 +248,29 @@ def schur_tight_bound(
 
 
 def _hook_entry_diffs(pair: ModelPair, omega: int, nu: int) -> list[float]:
-    """|top-row power entry differences| for columns 2..nu, Schur route first."""
-    from .companion import power_partition, schur_polynomial
+    """Hook Schur value differences ``s(lam) - s(lam_hat)`` for columns 2..nu.
 
-    out = []
-    try:
-        values = []
-        for model in (pair.truth, pair.fitted):
-            eig = spectrum(build_companion(model.coeffs)).eigenvalues
-            per_k = []
-            for k in range(2, nu + 1):
-                val = schur_polynomial(power_partition(omega, k), eig)
-                if abs(val.imag) >= 1e-8 * (1.0 + abs(val.real)):
-                    raise NumericalError("non-real Schur value on a real spectrum")
-                per_k.append(val.real)
-            values.append(per_k)
-        out = [values[0][i] - values[1][i] for i in range(nu - 1)]
-    except NumericalError:
-        # Degenerate spectrum: same quantities from exact matrix powers.
-        delta_rows = pair.delta_rows(omega)
-        out = [float(delta_rows[0, k - 1]) for k in range(2, nu + 1)]
-    return out
+    Up to the sign ``(-1)^(k-1)`` the ``(1, k)`` entry of the ``omega``-th
+    companion power is the Schur polynomial of the hook ``(omega, 1^(k-1))``.
+    The hook identity ``s_(a,1^b) = sum_i (-1)^i h_(a+i) e_(b-i)`` evaluates it
+    without division, so it holds at repeated roots too.  A hook with more
+    rows than eigenvalues is zero.
+    """
+    values = []
+    for model in (pair.truth, pair.fitted):
+        eig = model.spectrum.eigenvalues
+        n = len(eig)
+        e = [elementary_symmetric(j, eig) for j in range(n + 1)]
+        h = [complete_homogeneous(omega + i, eig) for i in range(n)]
+        per_k = []
+        for b in range(1, nu):
+            if b >= n:
+                per_k.append(0.0)
+                continue
+            val = sum((-1) ** i * h[i] * e[b - i] for i in range(b + 1))
+            per_k.append(_real_part(val, "hook Schur evaluation"))
+        values.append(per_k)
+    return [t - f for t, f in zip(*values)]
 
 
 @dataclass(frozen=True)
@@ -389,9 +388,7 @@ def default_truncation(
     """Truncation level: high quantile of the observed squared errors."""
     x = path.values
     p = fitted.p
-    from .companion import matrix_power as _mp
-
-    weights = _mp(build_companion(fitted.coeffs).dense, omega)[: fitted.d]
+    weights = matrix_power(fitted.companion, omega)[: fitted.d]
     lagged = _lag_matrix(x, p)
     count = x.shape[0] - omega - p + 1
     if count < 1:

@@ -11,9 +11,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import signal
+from scipy import linalg, signal
 
 from .companion import CompanionMatrix, Spectrum, build_companion, spectrum
 from .errors import BadInputError, NumericalError
@@ -25,9 +26,6 @@ BURN_IN_DECAY = 1e-9
 #: Fewest sliding windows accepted when estimating an autocovariance block.
 MIN_ESTIMATION_WINDOWS = 10
 
-#: Switch point between the exact Kronecker solve and fixed-point iteration.
-MAX_KRON_STATE_DIM = 40
-
 
 @dataclass(frozen=True)
 class VarModel:
@@ -36,6 +34,9 @@ class VarModel:
     ``coeffs`` holds the lag matrices ``A_1 .. A_p`` as (d, d) arrays; for
     scalar processes each entry is a 1x1 array (scalars are accepted by the
     constructor helpers).
+
+    The companion matrix, its spectrum and the stationary state covariance
+    are derived once per model and cached; every caller reads these.
     """
 
     d: int
@@ -75,8 +76,28 @@ class VarModel:
             raise BadInputError("scalar_coeffs is defined for d = 1 models only")
         return np.array([b[0, 0] for b in self.coeffs])
 
-    def companion(self, order: int | None = None) -> CompanionMatrix:
-        return build_companion(self.coeffs, order=order)
+    # Cached arrays are shared by every caller, so they are made read-only.
+
+    @cached_property
+    def companion(self) -> CompanionMatrix:
+        """Companion lift at the model's own order."""
+        comp = build_companion(self.coeffs)
+        comp.dense.setflags(write=False)
+        return comp
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Companion eigenvalues; a failed residual check raises on every access."""
+        spec = spectrum(self.companion)
+        spec.eigenvalues.setflags(write=False)
+        return spec
+
+    @cached_property
+    def state_cov(self) -> np.ndarray:
+        """Stationary covariance of the stacked state ``(x_t, ..., x_{t-p+1})``."""
+        state = _lyapunov_state_cov(self)
+        state.setflags(write=False)
+        return state
 
     def to_json(self) -> str:
         payload = {
@@ -190,7 +211,7 @@ def is_stationary(model: VarModel, margin: float = 0.0) -> tuple[bool, Spectrum]
 
     Returns the spectrum alongside the flag so callers can reuse it.
     """
-    spec = spectrum(model.companion())
+    spec = model.spectrum
     return bool(spec.max_modulus < 1.0 - margin), spec
 
 
@@ -292,27 +313,13 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 def _lyapunov_state_cov(model: VarModel) -> np.ndarray:
     """Stationary covariance of the stacked state: solves S = C S C' + S_e."""
-    comp = model.companion().dense
-    size = comp.shape[0]
-    se = np.zeros((size, size))
+    comp = model.companion.dense
+    se = np.zeros_like(comp)
     se[: model.d, : model.d] = model.noise_variance * np.eye(model.d)
-    if size <= MAX_KRON_STATE_DIM:
-        lhs = np.eye(size * size) - np.kron(comp, comp)
-        try:
-            sol = np.linalg.solve(lhs, se.ravel())
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
-        state = sol.reshape(size, size)
-    else:
-        state = se.copy()
-        for _ in range(200_000):
-            nxt = comp @ state @ comp.T + se
-            delta = float(np.abs(nxt - state).max())
-            state = nxt
-            if delta <= 1e-12 * max(1.0, float(np.abs(state).max())):
-                break
-        else:
-            raise NumericalError("stationary covariance iteration did not converge")
+    try:
+        state = linalg.solve_discrete_lyapunov(comp, se)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
     return 0.5 * (state + state.T)
 
 
@@ -328,7 +335,7 @@ def autocov_blocks(model: VarModel, max_lag: int) -> np.ndarray:
             f"autocovariance requires a stable model (max modulus {spec.max_modulus:.6f})"
         )
     d, p = model.d, model.p
-    state = _lyapunov_state_cov(model)
+    state = model.state_cov
     blocks = [state[0:d, j * d : (j + 1) * d].copy() for j in range(min(p, max_lag + 1))]
     # E[x_t x_{t-j}^T] read off the first block row equals Gamma(j).
     while len(blocks) <= max_lag:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .companion import build_companion, matrix_power, spectrum
+from .companion import build_companion, matrix_power
 from .errors import BadInputError, NumericalError
 from .interventions import (
     ATOMIC_AVERAGED,
@@ -105,7 +105,7 @@ def noise_floor(truth: VarModel, omega: int, component: int | None = None):
     """
     if omega < 1:
         raise BadInputError("omega must be a positive integer")
-    comp = build_companion(truth.coeffs).dense
+    comp = truth.companion.dense
     d = truth.d
     acc = np.zeros(d)
     power = np.eye(comp.shape[0])
@@ -236,7 +236,7 @@ def empirical_stat_risk(
     p = fitted.p
     if n <= p + omega:
         raise BadInputError(f"path of length {n} too short for order {p} at horizon {omega}")
-    weights = matrix_power(build_companion(fitted.coeffs).dense, omega)[:d]
+    weights = matrix_power(fitted.companion, omega)[:d]
     lagged = _lag_matrix(x, p)  # row s <-> window ending at x[s + p - 1]
     count = n - omega - p + 1
     preds = lagged[:count] @ weights.T
@@ -255,11 +255,9 @@ def _lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _require_stable_truth(pair: ModelPair) -> None:
-    spec = spectrum(build_companion(pair.truth.coeffs))
-    if spec.max_modulus >= 1.0:
-        raise NumericalError(
-            f"analytic risk needs a stable truth (max modulus {spec.max_modulus:.6f})"
-        )
+    delta = pair.truth.spectrum.max_modulus
+    if delta >= 1.0:
+        raise NumericalError(f"analytic risk needs a stable truth (max modulus {delta:.6f})")
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,19 @@ class TestSchurTight:
         expect *= abs(delta[1]) * abs(gam1)
         assert rep.value == pytest.approx(expect, rel=1e-9)
 
+    def test_hook_identity_matches_direct_powers(self, rng):
+        from varcausal.bounds import _hook_entry_diffs
+
+        pairs = [random_stable_pair(rng, p, q) for p in (1, 3, 7) for q in (2, 5, 7)]
+        pairs.append(
+            ModelPair(truth=VarModel.from_coeffs([1.2, -0.36]), fitted=VarModel.from_coeffs([0.9]))
+        )
+        for pair in pairs:
+            for omega in range(1, 8):
+                diffs = _hook_entry_diffs(pair, omega, pair.nu)
+                direct = pair.delta_rows(omega)[0, 1:]
+                np.testing.assert_allclose(np.abs(diffs), np.abs(direct), rtol=0, atol=1e-12)
+
     def test_requires_stable_candidate(self, rng):
         pair = ModelPair(
             truth=VarModel.from_coeffs([0.5]), fitted=VarModel.from_coeffs([1.2])

@@ -208,6 +208,18 @@ class TestOmegaSweep:
         for s, a in zip(singles, alls):
             assert a.max_diff >= s.max_diff
 
+    def test_bucket_dropped_tail_sums_every_cell(self):
+        # 23 records per (omega, regime) cell, buckets of 10: 3 dropped in
+        # each of the 6 cells.
+        cfg = tiny_cfg(
+            mode="omegaSweep", n_processes=23, orders=(3,), mc_draws=0, bucket_size=10
+        )
+        res = run_omega_sweep(cfg)
+        cells = len(cfg.sweep_omegas) * 2
+        assert res.metadata["skipped"] == 0
+        assert len(res.records) == 23 * cells
+        assert res.metadata["bucket_dropped_tail"] == 3 * cells
+
 
 class TestConfounded:
     def test_deterministic(self):
@@ -235,6 +247,46 @@ class TestConfounded:
         cfg = tiny_cfg(mc_draws=200_000)
         g = _confounded_mc_risk(cfg, truth, fitted, 1, derive_rng(3))
         assert g == pytest.approx(1.0, rel=0.03)
+
+    def test_thm1_violations_compare_the_mc_causal_risk(self):
+        # Confounded records have no analytic causal risk; the count must
+        # come from g_mc (process 18 of this config exceeds its bound).
+        cfg = tiny_cfg(mode="confounded", n_processes=20, master_seed=9)
+        res = run_confounded(cfg)
+        violations = sum(
+            1 for r in res.records if math.isfinite(r.thm1_rhs) and r.g_mc > r.thm1_rhs
+        )
+        assert violations >= 1
+        assert res.metadata["thm1_violations"] == violations
+
+
+class TestDerivedQuantitiesOnce:
+    def test_one_standard_process_solves_each_model_once(self, monkeypatch):
+        # Truth and fit each need one spectrum; only the truth needs its
+        # stationary covariance (one Lyapunov solve), however many callers.
+        import sys
+
+        from varcausal import companion, process
+
+        counts = {"spectrum": 0, "lyapunov": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        spectrum_fn = companion.spectrum
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("varcausal") and getattr(mod, "spectrum", None) is spectrum_fn:
+                monkeypatch.setattr(mod, "spectrum", counted("spectrum", spectrum_fn))
+        monkeypatch.setattr(
+            process, "_lyapunov_state_cov", counted("lyapunov", process._lyapunov_state_cov)
+        )
+        res = run_standard(tiny_cfg(n_processes=1, orders=(3,), bucket_size=1))
+        assert len(res.records) == 1
+        assert counts == {"spectrum": 2, "lyapunov": 1}
 
 
 class TestEmpiricalAgreement:

@@ -131,6 +131,28 @@ class TestExactAutocov:
             assert resid < 1e-9 * gamma0
             assert np.linalg.eigvalsh(exact_autocov(model, 8).dense).min() > -1e-10 * gamma0
 
+    @pytest.mark.parametrize(
+        "d, p, radius",
+        [(2, 3, 0.9), (2, 6, 0.95), (5, 3, 0.98), (3, 15, 0.95), (3, 15, 0.995)],
+    )
+    def test_state_cov_residual_and_psd_at_large_state_dims(self, d, p, radius):
+        # State dims 6 to 45: scipy switches from its Kronecker solve to
+        # Bartels-Stewart at 10.  Scaling A_l by c^l scales the spectrum by c.
+        rng = np.random.default_rng(d * 100 + p)
+        raw = [rng.standard_normal((d, d)) for _ in range(p)]
+        scale = radius / spectrum(build_companion(raw)).max_modulus
+        model = VarModel.from_coeffs([b * scale ** (l + 1) for l, b in enumerate(raw)], 1.5)
+        assert model.spectrum.max_modulus == pytest.approx(radius, rel=1e-9)
+        state = model.state_cov
+        comp = model.companion.dense
+        se = np.zeros_like(comp)
+        se[:d, :d] = 1.5 * np.eye(d)
+        size = np.abs(state).max()
+        assert np.abs(state - comp @ state @ comp.T - se).max() < 1e-9 * size
+        np.testing.assert_array_equal(state, state.T)
+        assert np.linalg.eigvalsh(state).min() > -1e-10 * size
+        np.testing.assert_allclose(exact_autocov(model, p).dense, state, rtol=0, atol=1e-9 * size)
+
     def test_block_toeplitz_symmetry(self, rng):
         model = random_stable_model(rng, 3)
         dense = exact_autocov(model, 6).dense
