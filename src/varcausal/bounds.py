@@ -27,7 +27,7 @@ import numpy as np
 from .companion import _real_part, complete_homogeneous, elementary_symmetric, matrix_power
 from .errors import BadInputError, NumericalError
 from .interventions import InterventionSpec
-from .process import AutocovMatrix, SamplePath, VarModel, autocov_blocks
+from .process import AutocovMatrix, SamplePath, VarModel
 from .risk import (
     ModelPair,
     causal_risk,
@@ -226,7 +226,7 @@ def schur_tight_bound(
         if k_const is None
         else float(k_const)
     )
-    gam = autocov_blocks(pair.truth, max(nu - 1, 0))[:, 0, 0]
+    gam = pair.autocov().dense[0]
 
     diffs = _hook_entry_diffs(pair, omega, nu)
     total = sum(abs(diffs[k - 2]) * abs(gam[k - 1]) for k in range(2, nu + 1))

@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .companion import matrix_power
 from .errors import ConfigError, NumericalError
-from .estimators import ESTIMATORS, OLS, build_design, fit_cv, fit_ols
+from .estimators import ESTIMATORS, OLS, FitResult, build_design, fit_cv, fit_ols
 from .interventions import InterventionSpec, marginal_variances
 from .process import (
     SamplePath,
@@ -135,6 +135,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown estimator {est!r}")
         if self.omega < 1 or any(w < 1 for w in self.sweep_omegas):
             raise ConfigError("omega values must be positive")
+        if self.mc_draws < 0:
+            raise ConfigError("mc_draws must be non-negative")
+        if self.mode == "confounded" and self.mc_draws < 1:
+            # Monte Carlo is the confounded mode's only causal-risk route.
+            raise ConfigError("confounded mode needs mc_draws >= 1")
 
     def to_mapping(self) -> dict:
         out = asdict(self)
@@ -297,18 +302,13 @@ def _thm1_rhs(
 def _standard_record(
     cfg: ExperimentConfig,
     pid: int,
-    q_true: int,
-    p_fit: int,
-    estimator: str,
     omega: int,
+    truth: VarModel,
+    train: SamplePath,
+    test: SamplePath,
+    fit: FitResult,
     regime: str = "single",
-    precomputed=None,
 ) -> ExperimentRecord:
-    truth, train, test, fit = precomputed or (None, None, None, None)
-    if truth is None:
-        truth, train, test = _sample_and_paths(cfg, pid, q_true)
-        fit = _fit(cfg, train, p_fit, estimator)
-
     pair = ModelPair(truth=truth, fitted=fit.model)
     nu = pair.nu
     corr = autocorrelation(pair.autocov())
@@ -336,9 +336,9 @@ def _standard_record(
 
     return ExperimentRecord(
         process_id=pid,
-        order_true=q_true,
-        order_fit=p_fit,
-        estimator=estimator,
+        order_true=truth.p,
+        order_fit=fit.model.p,
+        estimator=fit.estimator,
         regime=regime,
         kappa=kappa,
         delta_true=delta_true,
@@ -394,12 +394,7 @@ def run_standard(cfg: ExperimentConfig) -> RunResult:
             return out
         for estimator in cfg.estimators:
             fit = _fit(cfg, train, p_fit, estimator)
-            out.append(
-                _standard_record(
-                    cfg, pid, q_true, p_fit, estimator, cfg.omega,
-                    precomputed=(truth, train, test, fit),
-                )
-            )
+            out.append(_standard_record(cfg, pid, cfg.omega, truth, train, test, fit))
         return out
 
     records = [rec for group in _run_items(cfg, items, worker) for rec in group]
@@ -427,7 +422,9 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
         def worker(item, sub_cfg=sub_cfg):
             pid, q = item
             try:
-                return [_standard_record(sub_cfg, pid, q, q, estimator, sub_cfg.omega)]
+                truth, train, test = _sample_and_paths(sub_cfg, pid, q)
+                fit = _fit(sub_cfg, train, q, estimator)
+                return [_standard_record(sub_cfg, pid, cfg.omega, truth, train, test, fit)]
             except NumericalError:
                 skipped.append(pid)
                 return []
@@ -482,12 +479,7 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
         fit = _fit(cfg, train, q, estimator)
         for omega in cfg.sweep_omegas:
             for regime in ("single", "all"):
-                out.append(
-                    _standard_record(
-                        cfg, pid, q, q, estimator, omega, regime=regime,
-                        precomputed=(truth, train, test, fit),
-                    )
-                )
+                out.append(_standard_record(cfg, pid, omega, truth, train, test, fit, regime))
         return out
 
     records = [rec for group in _run_items(cfg, items, worker) for rec in group]
@@ -584,13 +576,12 @@ def _confounded_mc_risk(
 ) -> float:
     """Average causal risk of the scalar fit under do() on the observed
     coordinate of the bivariate truth, by exact-window Monte Carlo."""
-    draws = max(cfg.mc_draws, 1000)
     length = max(p_fit, truth.p)
-    windows = _draw_windows(truth, length, draws, rng)
+    windows = _draw_windows(truth, length, cfg.mc_draws, rng)
     marg_std = math.sqrt(marginal_variances(truth)[0])
     cut = windows.copy()
-    cut[:, 0] = rng.standard_normal(draws) * marg_std  # observed coordinate, slot 0
-    noise = rng.standard_normal((draws, cfg.omega, truth.d)) * math.sqrt(
+    cut[:, 0] = rng.standard_normal(cfg.mc_draws) * marg_std  # observed coordinate, slot 0
+    noise = rng.standard_normal((cfg.mc_draws, cfg.omega, truth.d)) * math.sqrt(
         truth.noise_variance
     )
     targets = _forward(truth, cut, cfg.omega, noise)[:, 0]

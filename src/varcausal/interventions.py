@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInputError
-from .process import AutocovMatrix, VarModel, autocov_blocks
+from .process import AutocovMatrix, VarModel
 from .seeding import as_rng
 
 ATOMIC_FIXED = "atomicFixed"
@@ -187,7 +187,7 @@ def interventional_cov(sigma: AutocovMatrix, spec: InterventionSpec) -> Interven
 
 def marginal_variances(model: VarModel) -> np.ndarray:
     """Stationary marginal variance of each component (diagonal of lag 0)."""
-    return np.diag(autocov_blocks(model, 0)[0]).copy()
+    return np.diag(model.state_cov[: model.d, : model.d]).copy()
 
 
 def simulate_intervened(

@@ -35,14 +35,15 @@ class VarModel:
     scalar processes each entry is a 1x1 array (scalars are accepted by the
     constructor helpers).
 
-    The companion matrix, its spectrum and the stationary state covariance
-    are derived once per model and cached; every caller reads these.
+    The companion matrix, its spectrum, the stationary state covariance and the
+    per-length padded lifts and window autocovariances are cached once per model.
     """
 
     d: int
     p: int
     coeffs: tuple[np.ndarray, ...]
     noise_variance: float
+    _by_length: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1 or self.p < 1:
@@ -78,12 +79,10 @@ class VarModel:
 
     # Cached arrays are shared by every caller, so they are made read-only.
 
-    @cached_property
+    @property
     def companion(self) -> CompanionMatrix:
         """Companion lift at the model's own order."""
-        comp = build_companion(self.coeffs)
-        comp.dense.setflags(write=False)
-        return comp
+        return self.lifted(self.p)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -95,9 +94,27 @@ class VarModel:
     @cached_property
     def state_cov(self) -> np.ndarray:
         """Stationary covariance of the stacked state ``(x_t, ..., x_{t-p+1})``."""
+        delta = self.spectrum.max_modulus
+        if delta >= 1.0:
+            raise NumericalError(f"unstable model (max modulus {delta:.6f}) has no stationary law")
         state = _lyapunov_state_cov(self)
         state.setflags(write=False)
         return state
+
+    def _memo(self, key: tuple[str, int], build):
+        if key not in self._by_length:
+            self._by_length[key] = build()
+        return self._by_length[key]
+
+    def lifted(self, order: int) -> CompanionMatrix:
+        """Companion padded with zero blocks to ``order >= p``."""
+        return self._memo(("lifted", order), lambda: _frozen_companion(self.coeffs, order))
+
+    def autocov(self, n: int) -> AutocovMatrix:
+        """Exact stationary autocovariance of ``n`` stacked observations."""
+        if n < 1:
+            raise BadInputError("n must be positive")
+        return self._memo(("autocov", n), lambda: _window_autocov(self, n))
 
     def to_json(self) -> str:
         payload = {
@@ -205,6 +222,19 @@ class AutocovMatrix:
         d = self.d
         return self.dense[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Symmetric PSD square root of ``dense`` (read-only)."""
+        root = _psd_sqrt(self.dense)
+        root.setflags(write=False)
+        return root
+
+
+def _frozen_companion(coeffs, order: int) -> CompanionMatrix:
+    comp = build_companion(coeffs, order=order)
+    comp.dense.setflags(write=False)
+    return comp
+
 
 def is_stationary(model: VarModel, margin: float = 0.0) -> tuple[bool, Spectrum]:
     """Whether all companion eigenvalues satisfy ``|lam| < 1 - margin``.
@@ -298,9 +328,7 @@ def simulate(
 
 def stationary_window(model: VarModel, length: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one exact stationary window, shape (length, d), most recent first."""
-    cov = exact_autocov(model, length).dense
-    root = _psd_sqrt(cov)
-    flat = root @ rng.standard_normal(length * model.d)
+    flat = model.autocov(length).root @ rng.standard_normal(length * model.d)
     return flat.reshape(length, model.d)
 
 
@@ -329,11 +357,6 @@ def autocov_blocks(model: VarModel, max_lag: int) -> np.ndarray:
     ``Gamma(h) = E[x_{t+h} x_t^T]``.  Lags beyond the order follow the
     recursion ``Gamma(h) = sum_l A_l Gamma(h - l)``.
     """
-    ok, spec = is_stationary(model)
-    if not ok:
-        raise NumericalError(
-            f"autocovariance requires a stable model (max modulus {spec.max_modulus:.6f})"
-        )
     d, p = model.d, model.p
     state = model.state_cov
     blocks = [state[0:d, j * d : (j + 1) * d].copy() for j in range(min(p, max_lag + 1))]
@@ -361,10 +384,13 @@ def _assemble_toeplitz(gammas: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def exact_autocov(model: VarModel, n: int) -> AutocovMatrix:
     """Exact autocovariance of ``n`` stacked observations (block-Toeplitz)."""
-    if n < 1:
-        raise BadInputError("n must be positive")
-    gam = autocov_blocks(model, n - 1)
-    return AutocovMatrix(n=n, d=model.d, dense=_assemble_toeplitz(gam, n, model.d))
+    return model.autocov(n)
+
+
+def _window_autocov(model: VarModel, n: int) -> AutocovMatrix:
+    dense = _assemble_toeplitz(autocov_blocks(model, n - 1), n, model.d)
+    dense.setflags(write=False)
+    return AutocovMatrix(n=n, d=model.d, dense=dense)
 
 
 def empirical_autocov(

@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .companion import build_companion, matrix_power
+from .companion import matrix_power
 from .errors import BadInputError, NumericalError
 from .interventions import (
     ATOMIC_AVERAGED,
@@ -34,7 +33,7 @@ from .interventions import (
     interventional_cov,
     marginal_variances,
 )
-from .process import SamplePath, VarModel, _psd_sqrt, exact_autocov
+from .process import AutocovMatrix, SamplePath, VarModel
 from .seeding import as_rng
 
 
@@ -64,31 +63,16 @@ class ModelPair:
     def nu(self) -> int:
         return max(self.truth.p, self.fitted.p)
 
-    @cached_property
-    def companion_truth(self) -> np.ndarray:
-        return build_companion(self.truth.coeffs, order=self.nu).dense
-
-    @cached_property
-    def companion_fitted(self) -> np.ndarray:
-        return build_companion(self.fitted.coeffs, order=self.nu).dense
-
-    @cached_property
-    def window_autocov(self):
-        return exact_autocov(self.truth, self.nu)
-
-    @property
-    def window_cov(self) -> np.ndarray:
-        return self.window_autocov.dense
-
-    def autocov(self):
-        return self.window_autocov
+    def autocov(self) -> AutocovMatrix:
+        """The truth's stationary window autocovariance at the common order."""
+        return self.truth.autocov(self.nu)
 
     def delta_rows(self, omega: int) -> np.ndarray:
         """Top-block row difference ``(A^w - Ah^w)`` of shape (d, d * nu)."""
         if omega < 1:
             raise BadInputError("omega must be a positive integer")
-        aw = matrix_power(self.companion_truth, omega)
-        ahw = matrix_power(self.companion_fitted, omega)
+        aw = matrix_power(self.truth.lifted(self.nu), omega)
+        ahw = matrix_power(self.fitted.lifted(self.nu), omega)
         return aw[: self.d] - ahw[: self.d]
 
 
@@ -122,7 +106,7 @@ def stat_risk(pair: ModelPair, omega: int) -> np.ndarray:
     """Analytic observational risk per output component."""
     _require_stable_truth(pair)
     delta = pair.delta_rows(omega)
-    quad = np.einsum("ij,jk,ik->i", delta, pair.window_cov, delta)
+    quad = np.einsum("ij,jk,ik->i", delta, pair.autocov().dense, delta)
     return quad + noise_floor(pair.truth, omega)
 
 
@@ -164,7 +148,7 @@ def risk_difference(pair: ModelPair, spec: InterventionSpec) -> RiskDifference:
         raise BadInputError("risk difference is defined for averaged atomic interventions")
     _require_stable_truth(pair)
     delta = pair.delta_rows(spec.omega)
-    sigma = pair.window_cov
+    sigma = pair.autocov().dense
     gamma = interventional_cov(pair.autocov(), spec).dense
     quad = float(abs(np.einsum("ij,jk,ik->", delta, gamma - sigma, delta)))
 
@@ -191,7 +175,7 @@ def risk_quotient(pair: ModelPair) -> float:
         raise BadInputError("the risk quotient is defined for scalar processes")
     _require_stable_truth(pair)
     delta = pair.delta_rows(1)[0]
-    sigma = pair.window_cov
+    sigma = pair.autocov().dense
     gamma0 = sigma[0, 0]
     corr = sigma / gamma0
     s2 = pair.truth.noise_variance / gamma0
@@ -277,7 +261,7 @@ def _forward(
     (N, omega, d).  Returns the realized targets, shape (N, d).
     """
     length = windows.shape[1] // truth.d
-    comp = build_companion(truth.coeffs, order=length).dense
+    comp = truth.lifted(length).dense
     state = windows
     d = truth.d
     for s in range(omega):
@@ -311,8 +295,7 @@ def _surgery(
 
 
 def _prediction_weights(fitted: VarModel, omega: int, length: int) -> np.ndarray:
-    comp = build_companion(fitted.coeffs, order=length).dense
-    return matrix_power(comp, omega)[: fitted.d]
+    return matrix_power(fitted.lifted(length), omega)[: fitted.d]
 
 
 def _mc_window_length(pair: ModelPair, spec: InterventionSpec | None) -> int:
@@ -349,19 +332,9 @@ def mc_causal_risk(
     """Monte-Carlo interventional risk; same sampling scheme as ``mc_stat_risk``
     with window surgery applied before the forward roll.  Returns
     ``(mean, standard error)``."""
-    if draws < 1:
-        raise BadInputError("draws must be positive")
-    rng = as_rng(seed)
-    length = _mc_window_length(pair, spec)
-    windows = _draw_windows(pair.truth, length, draws, rng)
-    marg = np.sqrt(marginal_variances(pair.truth)) if spec.kind == ATOMIC_AVERAGED else None
-    cut = _surgery(windows, spec, pair.d, marg, rng)
-    noise = rng.standard_normal((draws, spec.omega, pair.d)) * math.sqrt(
-        pair.truth.noise_variance
-    )
+    _, cut, noise, weights = _mc_intervened(pair, spec, draws, seed)
     targets = _forward(pair.truth, cut, spec.omega, noise)
-    preds = cut @ _prediction_weights(pair.fitted, spec.omega, length).T
-    sq = ((targets - preds) ** 2).sum(axis=1)
+    sq = ((targets - cut @ weights.T) ** 2).sum(axis=1)
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(draws))
 
 
@@ -375,6 +348,22 @@ def mc_risk_gap(
     far lower variance than differencing two independent estimates, and their
     sample standard error makes ``mean +- 3 se`` a meaningful check.
     """
+    windows, cut, noise, weights = _mc_intervened(pair, spec, draws, seed)
+    targets_do = _forward(pair.truth, cut, spec.omega, noise)
+    errs_do = ((targets_do - cut @ weights.T) ** 2).sum(axis=1)
+    targets_obs = _forward(pair.truth, windows, spec.omega, noise)
+    errs_obs = ((targets_obs - windows @ weights.T) ** 2).sum(axis=1)
+
+    diff = errs_do - errs_obs
+    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(draws))
+
+
+def _mc_intervened(
+    pair: ModelPair, spec: InterventionSpec, draws: int, seed: int | np.random.Generator
+):
+    """Shared draws of the interventional MC routes: stationary windows, their
+    surgery and forward innovations (in this generator order), plus the fitted
+    forecast weights."""
     if draws < 1:
         raise BadInputError("draws must be positive")
     rng = as_rng(seed)
@@ -385,22 +374,13 @@ def mc_risk_gap(
     noise = rng.standard_normal((draws, spec.omega, pair.d)) * math.sqrt(
         pair.truth.noise_variance
     )
-    weights = _prediction_weights(pair.fitted, spec.omega, length)
-
-    targets_do = _forward(pair.truth, cut, spec.omega, noise)
-    errs_do = ((targets_do - cut @ weights.T) ** 2).sum(axis=1)
-    targets_obs = _forward(pair.truth, windows, spec.omega, noise)
-    errs_obs = ((targets_obs - windows @ weights.T) ** 2).sum(axis=1)
-
-    diff = errs_do - errs_obs
-    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(draws))
+    return windows, cut, noise, _prediction_weights(pair.fitted, spec.omega, length)
 
 
 def _draw_windows(
     truth: VarModel, length: int, draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    root = _psd_sqrt(exact_autocov(truth, length).dense)
-    return rng.standard_normal((draws, length * truth.d)) @ root.T
+    return rng.standard_normal((draws, length * truth.d)) @ truth.autocov(length).root.T
 
 
 def empirical_causal_risk(

@@ -223,13 +223,13 @@ class TestOmegaSweep:
 
 class TestConfounded:
     def test_deterministic(self):
-        cfg = tiny_cfg(mode="confounded", n_processes=8, orders=(3,), bucket_size=4)
+        cfg = tiny_cfg(mode="confounded", n_processes=8, orders=(3,), bucket_size=4, mc_draws=1000)
         a = run_confounded(cfg)
         b = run_confounded(cfg)
         assert records_to_csv(a.records) == records_to_csv(b.records)
 
     def test_violations_are_counted_not_hidden(self):
-        cfg = tiny_cfg(mode="confounded", n_processes=8, orders=(3,), bucket_size=4)
+        cfg = tiny_cfg(mode="confounded", n_processes=8, orders=(3,), bucket_size=4, mc_draws=1000)
         res = run_confounded(cfg)
         assert "prop1_violations" in res.metadata
         assert res.metadata["prop1_violations"] >= 0
@@ -251,7 +251,7 @@ class TestConfounded:
     def test_thm1_violations_compare_the_mc_causal_risk(self):
         # Confounded records have no analytic causal risk; the count must
         # come from g_mc (process 18 of this config exceeds its bound).
-        cfg = tiny_cfg(mode="confounded", n_processes=20, master_seed=9)
+        cfg = tiny_cfg(mode="confounded", n_processes=20, master_seed=9, mc_draws=1000)
         res = run_confounded(cfg)
         violations = sum(
             1 for r in res.records if math.isfinite(r.thm1_rhs) and r.g_mc > r.thm1_rhs
@@ -259,16 +259,45 @@ class TestConfounded:
         assert violations >= 1
         assert res.metadata["thm1_violations"] == violations
 
+    def test_mc_draws_is_honoured(self, monkeypatch):
+        # Monte Carlo is the only causal-risk route here, so zero draws is a
+        # config error rather than a silent floor of 1000 draws.
+        from varcausal import harness
+
+        with pytest.raises(ConfigError):
+            tiny_cfg(mode="confounded", mc_draws=0)
+        with pytest.raises(ConfigError):
+            tiny_cfg(mc_draws=-1)
+        asked = []
+        draw = harness._draw_windows
+
+        def spy(truth, length, draws, rng):
+            asked.append(draws)
+            return draw(truth, length, draws, rng)
+
+        monkeypatch.setattr(harness, "_draw_windows", spy)
+        run_confounded(tiny_cfg(mode="confounded", n_processes=2, mc_draws=200))
+        assert asked and set(asked) == {200}
+
 
 class TestDerivedQuantitiesOnce:
     def test_one_standard_process_solves_each_model_once(self, monkeypatch):
-        # Truth and fit each need one spectrum; only the truth needs its
-        # stationary covariance (one Lyapunov solve), however many callers.
+        # Truth and fit each need one spectrum and one companion; only the
+        # truth needs its stationary covariance (one Lyapunov solve), one
+        # window autocovariance and one PSD root, however many callers.
         import sys
 
-        from varcausal import companion, process
+        from varcausal import process
+        from varcausal.harness import run
 
-        counts = {"spectrum": 0, "lyapunov": 0}
+        once = {
+            "spectrum": 2,
+            "build_companion": 2,
+            "autocov_blocks": 1,
+            "_psd_sqrt": 1,
+            "_lyapunov_state_cov": 1,
+        }
+        counts = dict.fromkeys(once, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -277,16 +306,22 @@ class TestDerivedQuantitiesOnce:
 
             return wrapper
 
-        spectrum_fn = companion.spectrum
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("varcausal") and getattr(mod, "spectrum", None) is spectrum_fn:
-                monkeypatch.setattr(mod, "spectrum", counted("spectrum", spectrum_fn))
-        monkeypatch.setattr(
-            process, "_lyapunov_state_cov", counted("lyapunov", process._lyapunov_state_cov)
-        )
-        res = run_standard(tiny_cfg(n_processes=1, orders=(3,), bucket_size=1))
-        assert len(res.records) == 1
-        assert counts == {"spectrum": 2, "lyapunov": 1}
+        for name in once:
+            fn = getattr(process, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("varcausal") and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+
+        def one_process(**kw):
+            counts.update(dict.fromkeys(once, 0))
+            cfg = tiny_cfg(
+                n_processes=1, orders=(3,), bucket_size=1, n_test=1000, mc_draws=1000, **kw
+            )
+            assert run(cfg).records
+            return counts
+
+        assert one_process() == once
+        assert one_process(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == once
 
 
 class TestEmpiricalAgreement:

@@ -41,6 +41,45 @@ class TestVarModel:
         with pytest.raises(BadInputError):
             VarModel.from_json("{not json")
 
+    def test_cached_arrays_are_read_only(self):
+        model = VarModel.from_coeffs([np.array([[0.5, 0.2], [-0.1, 0.3]]), 0.2 * np.eye(2)])
+        n = 4
+        cached = {
+            "companion": model.companion.dense,
+            "spectrum": model.spectrum.eigenvalues,
+            "state_cov": model.state_cov,
+            "lifted": model.lifted(model.p + 2).dense,
+            "autocov": model.autocov(n).dense,
+            "root": model.autocov(n).root,
+        }
+        for name, array in cached.items():
+            with pytest.raises(ValueError):
+                array[0, ...] = 0.0
+            assert not array.flags.writeable, name
+
+    def test_per_length_values_are_built_once_and_match_direct_builds(self):
+        model = VarModel.from_coeffs([np.array([[0.5, 0.2], [-0.1, 0.3]]), 0.2 * np.eye(2)])
+        assert model.lifted(model.p) is model.companion
+        assert model.lifted(5) is model.lifted(5)
+        np.testing.assert_array_equal(
+            model.lifted(5).dense, build_companion(model.coeffs, order=5).dense
+        )
+        cov = model.autocov(4)
+        assert exact_autocov(model, 4) is cov
+        assert cov.root is cov.root
+        np.testing.assert_allclose(cov.root @ cov.root.T, cov.dense, atol=1e-10 * cov.dense.max())
+        with pytest.raises(BadInputError):
+            model.lifted(model.p - 1)
+
+    def test_unstable_model_has_no_stationary_covariance(self):
+        from varcausal.interventions import marginal_variances
+
+        model = VarModel.from_coeffs([1.1])
+        with pytest.raises(NumericalError):
+            model.state_cov
+        with pytest.raises(NumericalError):
+            marginal_variances(model)
+
 
 class TestIsStationary:
     def test_stable_ar1(self):
