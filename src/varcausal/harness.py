@@ -126,8 +126,12 @@ class ExperimentConfig:
             raise ConfigError("orders must be non-empty")
         if any(p < 1 for p in self.orders):
             raise ConfigError("orders must be positive")
+        if not (math.isfinite(self.coeff_lo) and math.isfinite(self.coeff_hi)):
+            raise ConfigError("coeff_lo and coeff_hi must be finite")
         if self.coeff_lo >= self.coeff_hi:
             raise ConfigError("need coeff_lo < coeff_hi")
+        if self.max_tries < 1:
+            raise ConfigError("max_tries must be positive")
         if self.bucket_size < 1:
             raise ConfigError("bucket_size must be positive")
         for est in self.estimators:

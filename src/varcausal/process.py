@@ -26,6 +26,11 @@ BURN_IN_DECAY = 1e-9
 #: Fewest sliding windows accepted when estimating an autocovariance block.
 MIN_ESTIMATION_WINDOWS = 10
 
+#: Margin the stability screen leaves for the eigenvalue check's own rounding.
+_SCREEN_MARGIN = 1e-8
+
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class VarModel:
@@ -430,12 +435,18 @@ def rejection_sample_stable(
     Stability is strict (every eigenvalue modulus below one).  Candidates are
     evaluated in draw order, so the result is a deterministic function of the
     seed; internally the stability checks run on batches of candidates for
-    speed, which does not change which candidate is accepted.
+    speed, which does not change which candidate is accepted.  For scalar
+    processes the Schur-Cohn step-down test first discards the candidates it
+    proves unstable; the eigenvalues of the rest decide acceptance.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadInputError("the coefficient range must be finite")
     if not lo < hi:
         raise BadInputError("need lo < hi for the coefficient range")
     if p < 1 or d < 1:
         raise BadInputError("p and d must be positive")
+    if max_tries < 1:
+        raise BadInputError("max_tries must be positive")
     rng = as_rng(seed)
     size = p * d
     tried = 0
@@ -443,13 +454,17 @@ def rejection_sample_stable(
     while tried < max_tries:
         count = min(batch, max_tries - tried)
         cand = rng.uniform(lo, hi, size=(count, p, d, d))
-        comps = np.zeros((count, size, size))
+        if d == 1:
+            rows = np.flatnonzero(~_step_down_unstable(cand[:, :, 0, 0]))
+        else:
+            rows = np.arange(count)
+        comps = np.zeros((rows.size, size, size))
         for l in range(p):
-            comps[:, :d, l * d : (l + 1) * d] = cand[:, l]
+            comps[:, :d, l * d : (l + 1) * d] = cand[rows, l]
         if p > 1:
             comps[:, d:, : d * (p - 1)] = np.eye(d * (p - 1))
         moduli = np.abs(np.linalg.eigvals(comps)).max(axis=1)
-        stable = np.flatnonzero(moduli < 1.0)
+        stable = rows[moduli < 1.0]
         if stable.size:
             pick = cand[stable[0]]
             return VarModel(
@@ -461,3 +476,37 @@ def rejection_sample_stable(
         tried += count
         batch = min(4096, batch * 2)
     raise NumericalError(f"no stable draw within {max_tries} tries (order {p}, dim {d})")
+
+
+def _step_down_unstable(a: np.ndarray) -> np.ndarray:
+    """Rows of scalar AR coefficients ``a`` (count, p) proven unstable.
+
+    Schur-Cohn step-down (inverse Levinson-Durbin) on the monic characteristic
+    polynomial ``c = [1, -a_1, ..., -a_p]``: the reflection coefficient
+    ``k = c[m]`` is the product of the roots up to sign, and while ``|k| < 1``
+    the reduced polynomial ``(c[:m] - k c[m:0:-1]) / (1 - k^2)`` is stable iff
+    ``c`` is.  So ``|k| > 1`` after only ``|k| < 1`` steps proves a root
+    outside the unit circle.  Each division by ``1 - k^2`` magnifies rounding
+    error, which is large near repeated roots on the circle, so ``err`` carries
+    a first-order bound on the absolute error of ``c``.  A row whose ``|k|``
+    lies within ``_SCREEN_MARGIN + err`` of one stops being screened and is not
+    flagged, so a flagged row is one the eigenvalue check also rejects.
+    """
+    count = a.shape[0]
+    unstable = np.zeros(count, dtype=bool)
+    rows = np.arange(count)
+    c = np.concatenate([np.ones((count, 1)), -a], axis=1)
+    err = np.zeros((count, 1))
+    for m in range(a.shape[1], 0, -1):
+        k = c[:, m : m + 1]
+        excess = np.abs(k) - 1.0
+        band = _SCREEN_MARGIN + err
+        unstable[rows[(excess > band)[:, 0]]] = True
+        screened = (excess < -band)[:, 0]
+        rows, c, k, err = rows[screened], c[screened], k[screened], err[screened]
+        size = np.abs(c).max(axis=1, keepdims=True)
+        c = (c[:, :m] - k * c[:, m:0:-1]) / (1.0 - k * k)
+        new_size = np.abs(c).max(axis=1, keepdims=True)
+        grow = 1.0 + np.abs(k) + size + 2.0 * new_size
+        err = (grow * err + 2.0 * _EPS * (size + new_size)) / (1.0 - k * k)
+    return unstable

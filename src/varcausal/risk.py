@@ -48,12 +48,21 @@ class ModelPair:
 
     truth: VarModel
     fitted: VarModel
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.truth.d != self.fitted.d:
             raise BadInputError(
                 f"dimension mismatch: truth d = {self.truth.d}, fitted d = {self.fitted.d}"
             )
+
+    def _memo(self, key, build) -> np.ndarray:
+        """Build once per pair; the shared array is made read-only."""
+        if key not in self._cache:
+            value = build()
+            value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
 
     @property
     def d(self) -> int:
@@ -71,9 +80,19 @@ class ModelPair:
         """Top-block row difference ``(A^w - Ah^w)`` of shape (d, d * nu)."""
         if omega < 1:
             raise BadInputError("omega must be a positive integer")
-        aw = matrix_power(self.truth.lifted(self.nu), omega)
-        ahw = matrix_power(self.fitted.lifted(self.nu), omega)
-        return aw[: self.d] - ahw[: self.d]
+
+        def build():
+            aw = matrix_power(self.truth.lifted(self.nu), omega)
+            ahw = matrix_power(self.fitted.lifted(self.nu), omega)
+            return aw[: self.d] - ahw[: self.d]
+
+        return self._memo(("delta", omega), build)
+
+    def intervened_cov(self, spec: InterventionSpec) -> np.ndarray:
+        """The window covariance of :meth:`autocov` under an atomic intervention."""
+        return self._memo(
+            ("intervened", spec), lambda: interventional_cov(self.autocov(), spec).dense
+        )
 
 
 def noise_floor(truth: VarModel, omega: int, component: int | None = None):
@@ -121,8 +140,7 @@ def causal_risk(pair: ModelPair, spec: InterventionSpec) -> np.ndarray:
         raise BadInputError("analytic causal risk applies to atomic interventions")
     _require_stable_truth(pair)
     delta = pair.delta_rows(spec.omega)
-    gamma = interventional_cov(pair.autocov(), spec).dense
-    quad = np.einsum("ij,jk,ik->i", delta, gamma, delta)
+    quad = np.einsum("ij,jk,ik->i", delta, pair.intervened_cov(spec), delta)
     return quad + noise_floor(pair.truth, spec.omega)
 
 
@@ -149,7 +167,7 @@ def risk_difference(pair: ModelPair, spec: InterventionSpec) -> RiskDifference:
     _require_stable_truth(pair)
     delta = pair.delta_rows(spec.omega)
     sigma = pair.autocov().dense
-    gamma = interventional_cov(pair.autocov(), spec).dense
+    gamma = pair.intervened_cov(spec)
     quad = float(abs(np.einsum("ij,jk,ik->", delta, gamma - sigma, delta)))
 
     if len(spec.components) != 1 or spec.time_lags != (0,):

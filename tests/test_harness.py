@@ -70,6 +70,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(mode="turbo")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"max_tries": 0}, {"max_tries": -5}, {"coeff_lo": math.nan}, {"coeff_hi": math.nan},
+         {"coeff_hi": math.inf}, {"coeff_lo": -math.inf}],
+    )
+    def test_bad_sampler_settings_rejected(self, bad):
+        # These used to skip every process, or fail later inside a worker.
+        with pytest.raises(ConfigError):
+            tiny_cfg(**bad)
+
     def test_round_trip(self):
         cfg = tiny_cfg(order_pairs=((1, 3),))
         back = ExperimentConfig.from_mapping(cfg.to_mapping())
@@ -284,10 +294,11 @@ class TestDerivedQuantitiesOnce:
     def test_one_standard_process_solves_each_model_once(self, monkeypatch):
         # Truth and fit each need one spectrum and one companion; only the
         # truth needs its stationary covariance (one Lyapunov solve), one
-        # window autocovariance and one PSD root, however many callers.
+        # window autocovariance and one PSD root, however many callers.  Each
+        # record's risks and bounds share one intervened window.
         import sys
 
-        from varcausal import process
+        from varcausal import interventions, process
         from varcausal.harness import run
 
         once = {
@@ -296,6 +307,7 @@ class TestDerivedQuantitiesOnce:
             "autocov_blocks": 1,
             "_psd_sqrt": 1,
             "_lyapunov_state_cov": 1,
+            "interventional_cov": 1,
         }
         counts = dict.fromkeys(once, 0)
 
@@ -307,7 +319,7 @@ class TestDerivedQuantitiesOnce:
             return wrapper
 
         for name in once:
-            fn = getattr(process, name)
+            fn = getattr(process, name, None) or getattr(interventions, name)
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("varcausal") and getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted(name, fn))
@@ -321,7 +333,11 @@ class TestDerivedQuantitiesOnce:
             return counts
 
         assert one_process() == once
-        assert one_process(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == once
+        # Per horizon: one window for the single-step record, and for the
+        # every-step record its own window plus the single-step one its bounds use.
+        assert one_process(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == {
+            **once, "interventional_cov": 9
+        }
 
 
 class TestEmpiricalAgreement:

@@ -12,6 +12,7 @@ from varcausal.errors import BadInputError, NumericalError
 from varcausal.process import (
     SamplePath,
     VarModel,
+    _step_down_unstable,
     autocov_blocks,
     default_burn_in,
     empirical_autocov,
@@ -280,3 +281,87 @@ class TestRejectionSampling:
     def test_bad_range_rejected(self):
         with pytest.raises(BadInputError):
             rejection_sample_stable(1, 1, 2, -2, 0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, max_tries",
+        [(math.nan, 2.0, 10), (-2.0, math.nan, 10), (-math.inf, 2.0, 10), (-2.0, math.inf, 10),
+         (-2.0, 2.0, 0), (-2.0, 2.0, -1)],
+    )
+    def test_bad_sampler_inputs_rejected(self, lo, hi, max_tries):
+        with pytest.raises(BadInputError):
+            rejection_sample_stable(2, 1, lo, hi, 0, max_tries=max_tries)
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_screen_keeps_every_stable_row(self, p):
+        coeffs = np.random.default_rng(900 + p).uniform(-2.0, 2.0, size=(100_000, p))
+        flagged = _step_down_unstable(coeffs)
+        stable = _max_moduli(coeffs) < 1.0
+        assert not np.any(flagged & stable)
+        # It also leaves almost nothing for eigvals to reject.
+        assert (~flagged & ~stable).sum() <= 0.001 * len(coeffs)
+
+    def test_screen_keeps_boundary_polynomials(self):
+        r = 1.0 - 1e-12
+        root_sets = [
+            [1.0, 0.5],
+            [-1.0, -1.0],
+            [1.0, 1.0, 1.0],
+            [1.0, -1.0, 1j, -1j],
+            [r, -r],
+            [r * np.exp(1j), r * np.exp(-1j)],
+            [r, 0.3, -0.7, r * np.exp(2j), r * np.exp(-2j)],
+            [r] * 4,
+            [0.999] * 4,
+            # Without the rounding-error bound the step-down flags these two.
+            [0.9995] * 4,
+            [-0.998] * 5,
+            [0.9999 * np.exp(0.5j)] * 3 + [0.9999 * np.exp(-0.5j)] * 3,
+        ]
+        for roots in root_sets:
+            coeffs = -np.real(np.poly(roots))[1:]
+            # Roots on or just inside the circle are never proven unstable.
+            assert not _step_down_unstable(coeffs[None])[0], roots
+
+    def test_screen_flags_polynomials_outside_the_circle(self):
+        for roots in ([1.001, 0.5], [-1.0 - 1e-6, 0.2, 0.1], [1.1 * np.exp(1j), 1.1 * np.exp(-1j)]):
+            coeffs = -np.real(np.poly(roots))[1:]
+            assert _step_down_unstable(coeffs[None])[0], roots
+
+    @pytest.mark.parametrize("p, d", [(p, 1) for p in range(1, 9)] + [(2, 2)])
+    def test_same_draws_as_eigvals_only_sampler(self, p, d):
+        for seed in range(50):
+            lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = rejection_sample_stable(p, d, -2.0, 2.0, lib_rng)
+            want = _eigvals_only_sample(p, d, -2.0, 2.0, ref_rng)
+            for a, b in zip(got.coeffs, want):
+                np.testing.assert_array_equal(a, b)
+            assert lib_rng.random() == ref_rng.random()
+
+
+def _max_moduli(coeffs: np.ndarray) -> np.ndarray:
+    count, p = coeffs.shape
+    comps = np.zeros((count, p, p))
+    comps[:, 0, :] = coeffs
+    comps[:, 1:, :-1] = np.eye(p - 1)
+    return np.abs(np.linalg.eigvals(comps)).max(axis=1)
+
+
+def _eigvals_only_sample(p, d, lo, hi, rng, max_tries=100_000):
+    """The sampler without the step-down screen: every candidate goes to eigvals."""
+    size = p * d
+    tried = 0
+    batch = 128
+    while tried < max_tries:
+        count = min(batch, max_tries - tried)
+        cand = rng.uniform(lo, hi, size=(count, p, d, d))
+        comps = np.zeros((count, size, size))
+        for l in range(p):
+            comps[:, :d, l * d : (l + 1) * d] = cand[:, l]
+        if p > 1:
+            comps[:, d:, : d * (p - 1)] = np.eye(d * (p - 1))
+        stable = np.flatnonzero(np.abs(np.linalg.eigvals(comps)).max(axis=1) < 1.0)
+        if stable.size:
+            return tuple(cand[stable[0], l] for l in range(p))
+        tried += count
+        batch = min(4096, batch * 2)
+    raise NumericalError("no stable draw")

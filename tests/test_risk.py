@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from varcausal.errors import BadInputError
-from varcausal.interventions import InterventionSpec
+from varcausal.interventions import InterventionSpec, interventional_cov
 from varcausal.process import VarModel, exact_autocov, simulate
 from varcausal.risk import (
     ModelPair,
@@ -25,6 +25,23 @@ from varcausal.risk import (
 )
 
 from conftest import random_stable_model, random_stable_pair
+
+
+class TestPairCache:
+    def test_delta_rows_and_intervened_windows_are_built_once(self, rng):
+        pair = random_stable_pair(rng, 2, 3)
+        single = InterventionSpec.averaged(2)
+        every = InterventionSpec.averaged(2, time_lags=(0, 1, 2))
+        assert pair.delta_rows(2) is pair.delta_rows(2)
+        assert pair.intervened_cov(single) is pair.intervened_cov(InterventionSpec.averaged(2))
+        np.testing.assert_array_equal(
+            pair.intervened_cov(every), interventional_cov(pair.autocov(), every).dense
+        )
+        assert not np.array_equal(pair.intervened_cov(single), pair.intervened_cov(every))
+        for array in (pair.delta_rows(2), pair.intervened_cov(single)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
 
 class TestNoiseFloor:
