@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -201,10 +200,6 @@ def _cmd_experiment(args) -> int:
         mapping[key.strip()] = _parse_config_value(key.strip(), value)
     if args.seed is not None:
         mapping["master_seed"] = args.seed
-    if args.threads is not None:
-        mapping["threads"] = args.threads
-    elif "threads" not in mapping:
-        mapping["threads"] = os.cpu_count() or 1
     cfg = ExperimentConfig.from_mapping(mapping)
 
     result = run(cfg)
@@ -263,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", default=None, help="flat key=value config file")
     exp.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
     exp.add_argument("--seed", type=int, default=None, help="master seed override")
-    exp.add_argument("--threads", type=int, default=None)
     exp.add_argument("--out", required=True, help="output directory")
     exp.set_defaults(func=_cmd_experiment)
 

@@ -14,9 +14,10 @@ train/test paths, fit, compute risks and bounds):
                      fit as a scalar model; bounds are evaluated with
                      empirical inputs and violations are counted, not hidden.
 
-Everything is a pure function of the config (including the master seed):
-per-process generators are derived by counter-based splitting, so thread
-scheduling cannot change any output byte.
+Everything is a pure function of the config (including the master seed).
+Each mode is one serial loop over process ids; every process draws from its
+own generators, derived by counter-based splitting from the master seed and
+the process id, so its records depend on nothing else.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class ExperimentConfig:
     confidence: float = 0.1
     rademacher_draws: int = 128
     cv_folds: int = 5
-    threads: int = 1
     max_tries: int = 200_000
 
     def __post_init__(self):
@@ -243,7 +242,8 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _sample_and_paths(cfg: ExperimentConfig, pid: int, q_true: int, d: int = 1):
+def _sample_truth_and_test(cfg: ExperimentConfig, pid: int, q_true: int, d: int = 1):
+    """The process's stable truth and its test path; neither depends on n_train."""
     truth = rejection_sample_stable(
         q_true,
         d,
@@ -253,15 +253,18 @@ def _sample_and_paths(cfg: ExperimentConfig, pid: int, q_true: int, d: int = 1):
         max_tries=cfg.max_tries,
         noise_variance=cfg.noise_variance,
     )
-    train = simulate(
-        truth, cfg.n_train, derive_rng(cfg.master_seed, pid, seeding.STAGE_TRAIN),
-        init="stationary",
-    )
     test = simulate(
         truth, cfg.n_test, derive_rng(cfg.master_seed, pid, seeding.STAGE_TEST),
         init="stationary",
     )
-    return truth, train, test
+    return truth, test
+
+
+def _train_path(cfg: ExperimentConfig, pid: int, truth: VarModel, n_train: int) -> SamplePath:
+    return simulate(
+        truth, n_train, derive_rng(cfg.master_seed, pid, seeding.STAGE_TRAIN),
+        init="stationary",
+    )
 
 
 def _fit(cfg: ExperimentConfig, train: SamplePath, p_fit: int, estimator: str):
@@ -358,16 +361,8 @@ def _standard_record(
         cor2_rhs=cor2,
         thm1_rhs=thm1,
         omega=omega,
-        n_train=cfg.n_train,
+        n_train=train.n,
     )
-
-
-def _run_items(cfg: ExperimentConfig, items, worker):
-    """Run work items through a bounded pool; order of results is by item."""
-    if cfg.threads <= 1:
-        return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(worker, items))
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +376,19 @@ def run_standard(cfg: ExperimentConfig) -> RunResult:
     pairs = [(q, q) for q in cfg.orders] + [
         (int(p_fit), int(q_true)) for (p_fit, q_true) in cfg.order_pairs
     ]
-    items = []
+    records = []
+    skipped = 0
     for block, (p_fit, q_true) in enumerate(pairs):
-        for i in range(cfg.n_processes):
-            items.append((block * cfg.n_processes + i, q_true, p_fit))
-
-    skipped = []
-
-    def worker(item):
-        pid, q_true, p_fit = item
-        out = []
-        try:
-            truth, train, test = _sample_and_paths(cfg, pid, q_true)
-        except NumericalError:
-            skipped.append(pid)
-            return out
-        for estimator in cfg.estimators:
-            fit = _fit(cfg, train, p_fit, estimator)
-            out.append(_standard_record(cfg, pid, cfg.omega, truth, train, test, fit))
-        return out
-
-    records = [rec for group in _run_items(cfg, items, worker) for rec in group]
+        for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
+            try:
+                truth, test = _sample_truth_and_test(cfg, pid, q_true)
+                train = _train_path(cfg, pid, truth, cfg.n_train)
+            except NumericalError:
+                skipped += 1
+                continue
+            for estimator in cfg.estimators:
+                fit = _fit(cfg, train, p_fit, estimator)
+                records.append(_standard_record(cfg, pid, cfg.omega, truth, train, test, fit))
     records.sort(key=lambda r: (r.process_id, r.estimator))
     summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
     meta = _metadata(cfg, records, skipped, dropped)
@@ -413,33 +400,29 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
     """|G - S| distribution across training sizes (matched processes)."""
     started = time.monotonic()
     estimator = cfg.estimators[0]
-    per_n: dict[int, list[ExperimentRecord]] = {}
-    skipped: list[int] = []
-    all_records: list[ExperimentRecord] = []
-    for n_train in cfg.sweep_train_sizes:
-        sub_cfg = replace(cfg, n_train=int(n_train))
-        items = []
-        for block, q in enumerate(cfg.orders):
-            for i in range(cfg.n_processes):
-                items.append((block * cfg.n_processes + i, q))
-
-        def worker(item, sub_cfg=sub_cfg):
-            pid, q = item
+    sizes = [int(n) for n in cfg.sweep_train_sizes]
+    # One record list per size, each filled in process-id order.  Every
+    # (process, size) unit without a record counts once in ``skipped``.
+    per_size: list[list[ExperimentRecord]] = [[] for _ in sizes]
+    skipped = 0
+    for block, q in enumerate(cfg.orders):
+        for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
-                truth, train, test = _sample_and_paths(sub_cfg, pid, q)
-                fit = _fit(sub_cfg, train, q, estimator)
-                return [_standard_record(sub_cfg, pid, cfg.omega, truth, train, test, fit)]
+                truth, test = _sample_truth_and_test(cfg, pid, q)
             except NumericalError:
-                skipped.append(pid)
-                return []
+                skipped += len(sizes)
+                continue
+            for n_train, recs in zip(sizes, per_size):
+                try:
+                    train = _train_path(cfg, pid, truth, n_train)
+                    fit = _fit(cfg, train, q, estimator)
+                    recs.append(_standard_record(cfg, pid, cfg.omega, truth, train, test, fit))
+                except NumericalError:
+                    skipped += 1
 
-        recs = [r for group in _run_items(cfg, items, worker) for r in group]
-        recs.sort(key=lambda r: (r.process_id, r.estimator))
-        per_n[int(n_train)] = recs
-        all_records.extend(recs)
-
+    all_records = [rec for recs in per_size for rec in recs]
     summaries = {
-        f"n{n_train}": [_sweep_summary(n_train, recs)] for n_train, recs in per_n.items()
+        f"n{n_train}": [_sweep_summary(n_train, recs)] for n_train, recs in zip(sizes, per_size)
     }
     meta = _metadata(cfg, all_records, skipped, 0)
     _log_timing("sampleSweep", started)
@@ -466,27 +449,22 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
     """Horizon sweep on matched processes under two intervention regimes."""
     started = time.monotonic()
     estimator = cfg.estimators[0]
-    items = []
+    records = []
+    skipped = 0
     for block, q in enumerate(cfg.orders):
-        for i in range(cfg.n_processes):
-            items.append((block * cfg.n_processes + i, q))
-    skipped: list[int] = []
-
-    def worker(item):
-        pid, q = item
-        out = []
-        try:
-            truth, train, test = _sample_and_paths(cfg, pid, q)
-        except NumericalError:
-            skipped.append(pid)
-            return out
-        fit = _fit(cfg, train, q, estimator)
-        for omega in cfg.sweep_omegas:
-            for regime in ("single", "all"):
-                out.append(_standard_record(cfg, pid, omega, truth, train, test, fit, regime))
-        return out
-
-    records = [rec for group in _run_items(cfg, items, worker) for rec in group]
+        for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
+            try:
+                truth, test = _sample_truth_and_test(cfg, pid, q)
+                train = _train_path(cfg, pid, truth, cfg.n_train)
+            except NumericalError:
+                skipped += 1
+                continue
+            fit = _fit(cfg, train, q, estimator)
+            for omega in cfg.sweep_omegas:
+                for regime in ("single", "all"):
+                    records.append(
+                        _standard_record(cfg, pid, omega, truth, train, test, fit, regime)
+                    )
     records.sort(key=lambda r: (r.process_id, r.omega, r.regime))
     summaries = {}
     dropped = 0
@@ -510,65 +488,67 @@ def run_confounded(cfg: ExperimentConfig) -> RunResult:
     inputs; their violations are counted in the metadata.
     """
     started = time.monotonic()
-    estimator = cfg.estimators[0]
-    p_fit = cfg.orders[0]
-    items = list(range(cfg.n_processes))
-    skipped: list[int] = []
-
-    def worker(pid):
+    records = []
+    skipped = 0
+    for pid in range(cfg.n_processes):
         try:
-            truth, train2, test2 = _sample_and_paths(cfg, pid, 1, d=2)
+            truth, test2 = _sample_truth_and_test(cfg, pid, 1, d=2)
+            train2 = _train_path(cfg, pid, truth, cfg.n_train)
         except NumericalError:
-            skipped.append(pid)
-            return []
-        train = SamplePath(values=train2.values[:, :1].copy(), seed=train2.seed, burn_in=0)
-        test = SamplePath(values=test2.values[:, :1].copy(), seed=test2.seed, burn_in=0)
-        fit = _fit(cfg, train, p_fit, estimator)
-
-        emp_cov = empirical_autocov(test, p_fit)
-        kappa = condition_number(autocorrelation(emp_cov))
-        s_emp = empirical_stat_risk(fit.model, test, cfg.omega)
-        g_mc = _confounded_mc_risk(
-            cfg, truth, fit.model, p_fit,
-            derive_rng(cfg.master_seed, pid, seeding.STAGE_MC),
-        )
-        diff = abs(g_mc - s_emp)
-        sigma2_hat = fit.model.noise_variance
-        prop1 = (2.0 * kappa - 1.0) * max(s_emp - sigma2_hat, 0.0)
-        delta_true = truth.spectrum.max_modulus
-        rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
-        thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, rho, g_mc)
-        return [
-            ExperimentRecord(
-                process_id=pid,
-                order_true=1,
-                order_fit=p_fit,
-                estimator=estimator,
-                regime="confounded",
-                kappa=kappa,
-                delta_true=delta_true,
-                delta_fit=fit.model.spectrum.max_modulus,
-                coeffs_true=tuple(float(v) for v in truth.coeffs[0].ravel()),
-                coeffs_fit=tuple(float(v) for v in fit.model.scalar_coeffs),
-                s_analytic=math.nan,
-                s_empirical=s_emp,
-                g_analytic=math.nan,
-                g_mc=g_mc,
-                abs_diff=diff,
-                prop1_rhs=prop1,
-                cor2_rhs=math.nan,
-                thm1_rhs=thm1,
-                omega=cfg.omega,
-                n_train=cfg.n_train,
-            )
-        ]
-
-    records = [rec for group in _run_items(cfg, items, worker) for rec in group]
-    records.sort(key=lambda r: r.process_id)
+            skipped += 1
+            continue
+        records.append(_confounded_record(cfg, pid, truth, train2, test2))
     summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
     meta = _metadata(cfg, records, skipped, dropped)
     _log_timing("confounded", started)
     return RunResult(records=records, summaries={"confounded": summaries}, metadata=meta)
+
+
+def _confounded_record(
+    cfg: ExperimentConfig, pid: int, truth: VarModel, train2: SamplePath, test2: SamplePath
+) -> ExperimentRecord:
+    """Fit and score the scalar model on the first coordinate of bivariate paths."""
+    estimator = cfg.estimators[0]
+    p_fit = cfg.orders[0]
+    train = SamplePath(values=train2.values[:, :1].copy(), seed=train2.seed, burn_in=0)
+    test = SamplePath(values=test2.values[:, :1].copy(), seed=test2.seed, burn_in=0)
+    fit = _fit(cfg, train, p_fit, estimator)
+
+    emp_cov = empirical_autocov(test, p_fit)
+    kappa = condition_number(autocorrelation(emp_cov))
+    s_emp = empirical_stat_risk(fit.model, test, cfg.omega)
+    g_mc = _confounded_mc_risk(
+        cfg, truth, fit.model, p_fit,
+        derive_rng(cfg.master_seed, pid, seeding.STAGE_MC),
+    )
+    diff = abs(g_mc - s_emp)
+    sigma2_hat = fit.model.noise_variance
+    prop1 = (2.0 * kappa - 1.0) * max(s_emp - sigma2_hat, 0.0)
+    delta_true = truth.spectrum.max_modulus
+    rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
+    thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, rho, g_mc)
+    return ExperimentRecord(
+        process_id=pid,
+        order_true=1,
+        order_fit=p_fit,
+        estimator=estimator,
+        regime="confounded",
+        kappa=kappa,
+        delta_true=delta_true,
+        delta_fit=fit.model.spectrum.max_modulus,
+        coeffs_true=tuple(float(v) for v in truth.coeffs[0].ravel()),
+        coeffs_fit=tuple(float(v) for v in fit.model.scalar_coeffs),
+        s_analytic=math.nan,
+        s_empirical=s_emp,
+        g_analytic=math.nan,
+        g_mc=g_mc,
+        abs_diff=diff,
+        prop1_rhs=prop1,
+        cor2_rhs=math.nan,
+        thm1_rhs=thm1,
+        omega=cfg.omega,
+        n_train=cfg.n_train,
+    )
 
 
 def _confounded_mc_risk(
@@ -601,13 +581,11 @@ def _confounded_mc_risk(
 # ---------------------------------------------------------------------------
 
 
-def bucket_by_kappa(
-    records, bucket_size: int, bound_field: str = "thm1_rhs"
-) -> tuple[list[BucketSummary], int]:
+def bucket_by_kappa(records, bucket_size: int) -> tuple[list[BucketSummary], int]:
     """Sort by condition number, bucket, and summarize |G - S| per bucket.
 
     Only full buckets are kept; the dropped tail count is returned alongside.
-    The bound column is the per-bucket maximum of ``bound_field``.
+    The bound column is the per-bucket maximum of ``thm1_rhs``.
     """
     if not records:
         return [], 0
@@ -618,7 +596,7 @@ def bucket_by_kappa(
         chunk = ordered[b * bucket_size : (b + 1) * bucket_size]
         diffs = np.array([r.abs_diff for r in chunk])
         kappas = np.array([r.kappa for r in chunk])
-        bounds = np.array([getattr(r, bound_field) for r in chunk])
+        bounds = np.array([r.thm1_rhs for r in chunk])
         finite = bounds[np.isfinite(bounds)]
         bound = float(bounds.max()) if finite.size == bounds.size else math.inf
         out.append(
@@ -634,7 +612,7 @@ def bucket_by_kappa(
     return out, len(ordered) - n_buckets * bucket_size
 
 
-def _metadata(cfg: ExperimentConfig, records, skipped, bucket_dropped) -> dict:
+def _metadata(cfg: ExperimentConfig, records, skipped: int, bucket_dropped) -> dict:
     # Confounded runs have no analytic causal risk; thm1 bounds the MC one.
     g_field = "g_mc" if cfg.mode == "confounded" else "g_analytic"
     prop1_viol = sum(
@@ -654,7 +632,7 @@ def _metadata(cfg: ExperimentConfig, records, skipped, bucket_dropped) -> dict:
     return {
         "config": cfg.to_mapping(),
         "n_records": len(records),
-        "skipped": len(skipped),
+        "skipped": skipped,
         "bucket_dropped_tail": int(bucket_dropped),
         "prop1_violations": prop1_viol,
         "thm1_violations": thm1_viol,

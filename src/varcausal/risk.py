@@ -122,15 +122,15 @@ def noise_floor(truth: VarModel, omega: int, component: int | None = None):
 
 
 def stat_risk(pair: ModelPair, omega: int) -> np.ndarray:
-    """Analytic observational risk per output component."""
+    """Analytic observational risk per output component (built once per pair
+    and horizon; the array is read-only)."""
     _require_stable_truth(pair)
-    delta = pair.delta_rows(omega)
-    quad = np.einsum("ij,jk,ik->i", delta, pair.autocov().dense, delta)
-    return quad + noise_floor(pair.truth, omega)
+    return pair._memo(("stat", omega), lambda: _risk(pair, omega, pair.autocov().dense))
 
 
 def causal_risk(pair: ModelPair, spec: InterventionSpec) -> np.ndarray:
-    """Analytic interventional risk per output component.
+    """Analytic interventional risk per output component (built once per pair
+    and intervention; the array is read-only).
 
     For ``atomicAveraged`` this is the average causal risk with intervention
     values drawn from the stationary marginal; for ``atomicFixed`` the pinned
@@ -139,9 +139,14 @@ def causal_risk(pair: ModelPair, spec: InterventionSpec) -> np.ndarray:
     if spec.kind not in (ATOMIC_FIXED, ATOMIC_AVERAGED):
         raise BadInputError("analytic causal risk applies to atomic interventions")
     _require_stable_truth(pair)
-    delta = pair.delta_rows(spec.omega)
-    quad = np.einsum("ij,jk,ik->i", delta, pair.intervened_cov(spec), delta)
-    return quad + noise_floor(pair.truth, spec.omega)
+    return pair._memo(("causal", spec), lambda: _risk(pair, spec.omega, pair.intervened_cov(spec)))
+
+
+def _risk(pair: ModelPair, omega: int, window_cov: np.ndarray) -> np.ndarray:
+    """``D_i' M D_i + floor_i`` per output component for window covariance ``M``."""
+    delta = pair.delta_rows(omega)
+    floor = pair._memo(("floor", omega), lambda: noise_floor(pair.truth, omega))
+    return np.einsum("ij,jk,ik->i", delta, window_cov, delta) + floor
 
 
 @dataclass(frozen=True)

@@ -366,7 +366,6 @@ def test_criterion_08_study_reproduction():
         bucket_size=500,
         master_seed=2027,
         mc_draws=0,
-        threads=2,
     )
     res = run_standard(cfg)
     g = np.array([r.g_analytic for r in res.records])
@@ -408,7 +407,6 @@ def test_criterion_09_training_size_sweep():
         bucket_size=100,
         master_seed=515,
         mc_draws=0,
-        threads=2,
     )
     res = run_sample_sweep(cfg)
     medians = [res.summaries[f"n{n}"][0].q50 for n in (10, 100, 1000)]
@@ -442,7 +440,6 @@ def test_criterion_10_horizon_decay():
         bucket_size=100,
         master_seed=99,
         mc_draws=0,
-        threads=2,
     )
     res = run_omega_sweep(cfg)
     stable_pids = {
@@ -508,7 +505,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     for name in ("runA", "runB"):
         out_dir = tmp_path / name
         assert main(["experiment", "--config", str(cfg), "--seed", "3",
-                     "--threads", "2", "--out", str(out_dir)]) == 0
+                     "--out", str(out_dir)]) == 0
         run_files.append(
             {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
         )

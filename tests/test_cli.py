@@ -192,6 +192,18 @@ class TestExperimentCommand:
         assert rc == 4
         assert capsys.readouterr().err.startswith("error: config:")
 
+    def test_threads_is_neither_flag_nor_config_key(self, tmp_path, capsys):
+        # The study runs serially; there is no worker count to set.
+        cfg = self._write_cfg(tmp_path, "n_processes = 2\norders = 2\nmc_draws = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        cfg = self._write_cfg(tmp_path, "threads = 4\n")
+        capsys.readouterr()
+        rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: config: unknown config key")
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, "n_processes 10\n")
         rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x")])

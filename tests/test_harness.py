@@ -114,11 +114,6 @@ class TestRunStandard:
         combos = {(r.order_fit, r.order_true) for r in res.records}
         assert combos == {(1, 1), (1, 3), (3, 1)}
 
-    def test_threads_do_not_change_output(self):
-        serial = run_standard(tiny_cfg(threads=1))
-        threaded = run_standard(tiny_cfg(threads=2))
-        assert records_to_csv(serial.records) == records_to_csv(threaded.records)
-
     def test_multiple_estimators_per_process(self):
         cfg = tiny_cfg(estimators=("ols", "ridge"), n_processes=4, bucket_size=4)
         res = run_standard(cfg)
@@ -185,6 +180,16 @@ class TestSampleSweep:
         s = res.summaries["n30"][0]
         assert s.q0 <= s.q25 <= s.q50 <= s.q75 <= s.q100
         assert s.count == 8
+
+    def test_each_size_matches_a_standard_run(self):
+        # Seeds do not depend on the loop order, so the records of size n are
+        # exactly those of a standard run at n_train = n.
+        kw = dict(estimators=("ridge",), n_processes=5, orders=(2, 3), mc_draws=50)
+        res = run_sample_sweep(tiny_cfg(mode="sampleSweep", sweep_train_sizes=(20, 60), **kw))
+        for n in (20, 60):
+            sweep_n = [r for r in res.records if r.n_train == n]
+            std = run_standard(tiny_cfg(n_train=n, **kw))
+            assert records_to_csv(sweep_n) == records_to_csv(std.records)
 
 
 class TestOmegaSweep:
@@ -298,7 +303,7 @@ class TestDerivedQuantitiesOnce:
         # record's risks and bounds share one intervened window.
         import sys
 
-        from varcausal import interventions, process
+        from varcausal import harness, interventions, process, risk
         from varcausal.harness import run
 
         once = {
@@ -308,6 +313,11 @@ class TestDerivedQuantitiesOnce:
             "_psd_sqrt": 1,
             "_lyapunov_state_cov": 1,
             "interventional_cov": 1,
+            # One noise floor, and one quadratic form each for the record's
+            # statistical and causal risk, however often the bounds ask.
+            "noise_floor": 1,
+            "_risk": 2,
+            "rejection_sample_stable": 1,
         }
         counts = dict.fromkeys(once, 0)
 
@@ -318,14 +328,24 @@ class TestDerivedQuantitiesOnce:
 
             return wrapper
 
+        lengths = []
+
+        def simulate(model, n, *args, **kwargs):
+            lengths.append(n)
+            return process.simulate(model, n, *args, **kwargs)
+
         for name in once:
-            fn = getattr(process, name, None) or getattr(interventions, name)
+            fn = next(
+                getattr(mod, name) for mod in (process, interventions, risk) if hasattr(mod, name)
+            )
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("varcausal") and getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted(name, fn))
+        monkeypatch.setattr(harness, "simulate", simulate)
 
         def one_process(**kw):
             counts.update(dict.fromkeys(once, 0))
+            lengths.clear()
             cfg = tiny_cfg(
                 n_processes=1, orders=(3,), bucket_size=1, n_test=1000, mc_draws=1000, **kw
             )
@@ -335,9 +355,17 @@ class TestDerivedQuantitiesOnce:
         assert one_process() == once
         # Per horizon: one window for the single-step record, and for the
         # every-step record its own window plus the single-step one its bounds use.
+        # Each of the 6 records has its own pair, so its own floor.
         assert one_process(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == {
-            **once, "interventional_cov": 9
+            **once, "interventional_cov": 9, "noise_floor": 6, "_risk": 15
         }
+        # One truth and one test path per process; one training path and one
+        # fit (a spectrum and a companion) per size.
+        assert one_process(mode="sampleSweep", sweep_train_sizes=(20, 40, 60)) == {
+            **once, "spectrum": 4, "build_companion": 4, "interventional_cov": 3,
+            "noise_floor": 3, "_risk": 6,
+        }
+        assert sorted(lengths) == [20, 40, 60, 1000]
 
 
 class TestEmpiricalAgreement:

@@ -38,7 +38,13 @@ class TestPairCache:
             pair.intervened_cov(every), interventional_cov(pair.autocov(), every).dense
         )
         assert not np.array_equal(pair.intervened_cov(single), pair.intervened_cov(every))
-        for array in (pair.delta_rows(2), pair.intervened_cov(single)):
+        assert stat_risk(pair, 2) is stat_risk(pair, 2)
+        assert causal_risk(pair, single) is causal_risk(pair, InterventionSpec.averaged(2))
+        assert not np.array_equal(causal_risk(pair, single), causal_risk(pair, every))
+        for array in (
+            pair.delta_rows(2), pair.intervened_cov(single), stat_risk(pair, 2),
+            causal_risk(pair, single),
+        ):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
