@@ -89,6 +89,9 @@ SUMMARY_FIELDS = ("kappa_mid", "max_diff", "mean_diff", "q90_diff", "bound", "co
 
 SWEEP_FIELDS = ("n_train", "q0", "q25", "q50", "q75", "q100", "mean", "std", "count")
 
+#: Per-run counts of fits whose ``FitResult`` flags are set, in ``metadata.json``.
+FIT_COUNTERS = ("fits_nonconverged", "fits_rank_deficient")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -143,6 +146,18 @@ class ExperimentConfig:
         if self.mode == "confounded" and self.mc_draws < 1:
             # Monte Carlo is the confounded mode's only causal-risk route.
             raise ConfigError("confounded mode needs mc_draws >= 1")
+        # thm1 scores the fit on its own training path, which therefore
+        # needs a window of every fit order plus the horizon.
+        horizon = max(self.sweep_omegas, default=0) if self.mode == "omegaSweep" else self.omega
+        least = max([*self.orders, *(pq[0] for pq in self.order_pairs)]) + horizon
+        if self.mode == "sampleSweep":
+            sizes, name = self.sweep_train_sizes, "sweep_train_sizes"
+            if len(set(sizes)) != len(sizes):
+                raise ConfigError("sweep_train_sizes must be distinct")
+        else:
+            sizes, name = (self.n_train,), "n_train"
+        if not sizes or min(sizes) <= least:
+            raise ConfigError(f"{name} must exceed the largest fit order plus horizon ({least})")
 
     def to_mapping(self) -> dict:
         out = asdict(self)
@@ -267,11 +282,18 @@ def _train_path(cfg: ExperimentConfig, pid: int, truth: VarModel, n_train: int) 
     )
 
 
-def _fit(cfg: ExperimentConfig, train: SamplePath, p_fit: int, estimator: str):
+def _fit(
+    cfg: ExperimentConfig, train: SamplePath, p_fit: int, estimator: str, counts: dict
+) -> FitResult:
+    """Fit one training path and count the fit's flags into ``counts``."""
     if estimator == OLS:
-        return fit_ols(build_design(train, p_fit))
-    folds = max(2, min(cfg.cv_folds, train.n - p_fit))
-    return fit_cv(train, p_fit, estimator, folds=folds)
+        fit = fit_ols(build_design(train, p_fit))
+    else:
+        folds = max(2, min(cfg.cv_folds, train.n - p_fit))
+        fit = fit_cv(train, p_fit, estimator, folds=folds)
+    counts["fits_nonconverged"] += not fit.converged
+    counts["fits_rank_deficient"] += fit.rank_deficient
+    return fit
 
 
 def _thm1_rhs(
@@ -310,13 +332,15 @@ def _standard_record(
     cfg: ExperimentConfig,
     pid: int,
     omega: int,
-    truth: VarModel,
+    pair: ModelPair,
     train: SamplePath,
     test: SamplePath,
     fit: FitResult,
     regime: str = "single",
 ) -> ExperimentRecord:
-    pair = ModelPair(truth=truth, fitted=fit.model)
+    """One record of ``fit`` against the truth; ``pair`` is (truth, fit.model),
+    shared by every record of the process so its risks are computed once."""
+    truth = pair.truth
     nu = pair.nu
     corr = autocorrelation(pair.autocov())
     kappa = condition_number(corr)
@@ -378,6 +402,7 @@ def run_standard(cfg: ExperimentConfig) -> RunResult:
     ]
     records = []
     skipped = 0
+    counts = dict.fromkeys(FIT_COUNTERS, 0)
     for block, (p_fit, q_true) in enumerate(pairs):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
@@ -387,11 +412,12 @@ def run_standard(cfg: ExperimentConfig) -> RunResult:
                 skipped += 1
                 continue
             for estimator in cfg.estimators:
-                fit = _fit(cfg, train, p_fit, estimator)
-                records.append(_standard_record(cfg, pid, cfg.omega, truth, train, test, fit))
+                fit = _fit(cfg, train, p_fit, estimator, counts)
+                pair = ModelPair(truth=truth, fitted=fit.model)
+                records.append(_standard_record(cfg, pid, cfg.omega, pair, train, test, fit))
     records.sort(key=lambda r: (r.process_id, r.estimator))
     summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
-    meta = _metadata(cfg, records, skipped, dropped)
+    meta = _metadata(cfg, records, skipped, dropped, counts)
     _log_timing("standard", started)
     return RunResult(records=records, summaries={"standard": summaries}, metadata=meta)
 
@@ -405,6 +431,7 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
     # (process, size) unit without a record counts once in ``skipped``.
     per_size: list[list[ExperimentRecord]] = [[] for _ in sizes]
     skipped = 0
+    counts = dict.fromkeys(FIT_COUNTERS, 0)
     for block, q in enumerate(cfg.orders):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
@@ -415,8 +442,9 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
             for n_train, recs in zip(sizes, per_size):
                 try:
                     train = _train_path(cfg, pid, truth, n_train)
-                    fit = _fit(cfg, train, q, estimator)
-                    recs.append(_standard_record(cfg, pid, cfg.omega, truth, train, test, fit))
+                    fit = _fit(cfg, train, q, estimator, counts)
+                    pair = ModelPair(truth=truth, fitted=fit.model)
+                    recs.append(_standard_record(cfg, pid, cfg.omega, pair, train, test, fit))
                 except NumericalError:
                     skipped += 1
 
@@ -424,7 +452,7 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
     summaries = {
         f"n{n_train}": [_sweep_summary(n_train, recs)] for n_train, recs in zip(sizes, per_size)
     }
-    meta = _metadata(cfg, all_records, skipped, 0)
+    meta = _metadata(cfg, all_records, skipped, 0, counts)
     _log_timing("sampleSweep", started)
     return RunResult(records=all_records, summaries=summaries, metadata=meta)
 
@@ -451,6 +479,7 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
     estimator = cfg.estimators[0]
     records = []
     skipped = 0
+    counts = dict.fromkeys(FIT_COUNTERS, 0)
     for block, q in enumerate(cfg.orders):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
@@ -459,11 +488,12 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
             except NumericalError:
                 skipped += 1
                 continue
-            fit = _fit(cfg, train, q, estimator)
+            fit = _fit(cfg, train, q, estimator, counts)
+            pair = ModelPair(truth=truth, fitted=fit.model)
             for omega in cfg.sweep_omegas:
                 for regime in ("single", "all"):
                     records.append(
-                        _standard_record(cfg, pid, omega, truth, train, test, fit, regime)
+                        _standard_record(cfg, pid, omega, pair, train, test, fit, regime)
                     )
     records.sort(key=lambda r: (r.process_id, r.omega, r.regime))
     summaries = {}
@@ -474,7 +504,7 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
             summ, cell_dropped = bucket_by_kappa(sub, cfg.bucket_size)
             summaries[f"omega{omega}_{regime}"] = summ
             dropped += cell_dropped
-    meta = _metadata(cfg, records, skipped, dropped)
+    meta = _metadata(cfg, records, skipped, dropped, counts)
     _log_timing("omegaSweep", started)
     return RunResult(records=records, summaries=summaries, metadata=meta)
 
@@ -490,6 +520,7 @@ def run_confounded(cfg: ExperimentConfig) -> RunResult:
     started = time.monotonic()
     records = []
     skipped = 0
+    counts = dict.fromkeys(FIT_COUNTERS, 0)
     for pid in range(cfg.n_processes):
         try:
             truth, test2 = _sample_truth_and_test(cfg, pid, 1, d=2)
@@ -497,22 +528,27 @@ def run_confounded(cfg: ExperimentConfig) -> RunResult:
         except NumericalError:
             skipped += 1
             continue
-        records.append(_confounded_record(cfg, pid, truth, train2, test2))
+        records.append(_confounded_record(cfg, pid, truth, train2, test2, counts))
     summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
-    meta = _metadata(cfg, records, skipped, dropped)
+    meta = _metadata(cfg, records, skipped, dropped, counts)
     _log_timing("confounded", started)
     return RunResult(records=records, summaries={"confounded": summaries}, metadata=meta)
 
 
 def _confounded_record(
-    cfg: ExperimentConfig, pid: int, truth: VarModel, train2: SamplePath, test2: SamplePath
+    cfg: ExperimentConfig,
+    pid: int,
+    truth: VarModel,
+    train2: SamplePath,
+    test2: SamplePath,
+    counts: dict,
 ) -> ExperimentRecord:
     """Fit and score the scalar model on the first coordinate of bivariate paths."""
     estimator = cfg.estimators[0]
     p_fit = cfg.orders[0]
     train = SamplePath(values=train2.values[:, :1].copy(), seed=train2.seed, burn_in=0)
     test = SamplePath(values=test2.values[:, :1].copy(), seed=test2.seed, burn_in=0)
-    fit = _fit(cfg, train, p_fit, estimator)
+    fit = _fit(cfg, train, p_fit, estimator, counts)
 
     emp_cov = empirical_autocov(test, p_fit)
     kappa = condition_number(autocorrelation(emp_cov))
@@ -612,7 +648,9 @@ def bucket_by_kappa(records, bucket_size: int) -> tuple[list[BucketSummary], int
     return out, len(ordered) - n_buckets * bucket_size
 
 
-def _metadata(cfg: ExperimentConfig, records, skipped: int, bucket_dropped) -> dict:
+def _metadata(
+    cfg: ExperimentConfig, records, skipped: int, bucket_dropped, fit_counts: dict
+) -> dict:
     # Confounded runs have no analytic causal risk; thm1 bounds the MC one.
     g_field = "g_mc" if cfg.mode == "confounded" else "g_analytic"
     prop1_viol = sum(
@@ -636,6 +674,7 @@ def _metadata(cfg: ExperimentConfig, records, skipped: int, bucket_dropped) -> d
         "bucket_dropped_tail": int(bucket_dropped),
         "prop1_violations": prop1_viol,
         "thm1_violations": thm1_viol,
+        **fit_counts,
     }
 
 

@@ -204,6 +204,20 @@ class TestExperimentCommand:
         assert rc == 4
         assert capsys.readouterr().err.startswith("error: config: unknown config key")
 
+    @pytest.mark.parametrize("sizes", ["20,20", "3"])
+    def test_bad_sweep_sizes_are_config_errors(self, tmp_path, capsys, sizes):
+        # Duplicate sizes used to write every record twice; a size too
+        # short for the order failed after sampling with exit 2.
+        cfg = self._write_cfg(
+            tmp_path,
+            f"mode = sampleSweep\nn_processes = 2\norders = 3\nsweep_train_sizes = {sizes}\n"
+            "mc_draws = 0\n",
+        )
+        rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: config: sweep_train_sizes")
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, "n_processes 10\n")
         rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from varcausal import estimators
 from varcausal.errors import BadInputError
 from varcausal.estimators import (
     DEFAULT_LAMBDA_GRID,
+    LaggedDesign,
     build_design,
     fit_cv,
     fit_ols,
@@ -16,6 +18,72 @@ from varcausal.estimators import (
 from varcausal.process import SamplePath, VarModel, simulate
 
 from conftest import random_stable_model
+
+
+def residual_gap(design, beta, lam, mix):
+    """Elastic-net duality gap from the residual (per-row scale), worst column.
+
+    An independent route to the gap the covariance-form solver reports.
+    """
+    t_rows = design.t_rows
+    alpha, l2 = t_rows * lam * mix, t_rows * lam * (1.0 - mix)
+    worst = 0.0
+    for y, b in zip(design.y.T, beta.T):
+        resid = y - design.x @ b
+        r_sq = float(resid @ resid) + l2 * float(b @ b)
+        dual_norm = float(np.abs(design.x.T @ resid - l2 * b).max())
+        primal = 0.5 * r_sq + alpha * float(np.abs(b).sum())
+        scale = min(1.0, alpha / dual_norm) if dual_norm > alpha else 1.0
+        dual = scale * float(resid @ y) - 0.5 * scale**2 * r_sq
+        worst = max(worst, (primal - dual) / t_rows)
+    return worst
+
+
+def per_cell_cv(path, p, estimator, lam_grid, mix_grid, folds=5):
+    """Oracle: one ``fit_regularized`` per (strength, mix, fold) cell.
+
+    Same contiguous folds and the same walk over ``sorted((lam, mix))``,
+    where the last minimum wins.  Returns ``(score, lam, mix)``.
+    """
+    design = build_design(path, p)
+    parts = [f for f in np.array_split(np.arange(design.t_rows), folds) if len(f)]
+    mixes = list(mix_grid) if estimator == "elasticNet" else [1.0 if estimator == "lasso" else 0.0]
+    best = None
+    for lam, mix in sorted((lam, mix) for lam in lam_grid for mix in mixes):
+        scores = []
+        for val_idx in parts:
+            mask = np.ones(design.t_rows, dtype=bool)
+            mask[val_idx] = False
+            sub = LaggedDesign(x=design.x[mask], y=design.y[mask], p=design.p, d=design.d)
+            pred = design.x[val_idx] @ fit_regularized(sub, estimator, lam, mix).coef_matrix
+            scores.append(float(((design.y[val_idx] - pred) ** 2).mean()))
+        score = float(np.mean(scores))
+        if best is None or score <= best[0]:
+            best = (score, lam, mix)
+    return best
+
+
+def oracle_paths():
+    """Seeded CV inputs: order 3, a d = 2 path, and a rank-deficient design."""
+    out = [
+        ("p3", simulate(random_stable_model(np.random.default_rng(seed), 3), 150, seed), 3)
+        for seed in (1, 2)
+    ]
+    vec = VarModel(
+        d=2,
+        p=2,
+        coeffs=(np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[-0.2, 0.0], [0.1, 0.1]])),
+        noise_variance=1.0,
+    )
+    out.append(("d2", simulate(vec, 120, 5), 2))
+    # 5 design rows in 5 folds: each training fold has 4 rows for 5 columns.
+    out.append(("rank", simulate(VarModel.from_coeffs([0.5, 0.2, 0.1, -0.1, 0.05]), 10, 6), 5))
+    return out
+
+
+#: 0.0 (least squares) and a duplicate strength (an exact tie) included.
+ORACLE_LAMS = (1.0, 0.2, 0.05, 0.01, 0.01, 0.001, 0.0)
+ORACLE_MIXES = (0.7, 0.3, 0.7)
 
 
 def exact_path(coeffs, n, seed=0, scale=1.0):
@@ -133,8 +201,34 @@ class TestFitRegularized:
         design = build_design(path, 4)
         for estimator, lam, mix in (("lasso", 0.05, 1.0), ("elasticNet", 0.05, 0.4)):
             fit = fit_regularized(design, estimator, lam, mix)
+            y_scale = max(1.0, float((design.y**2).mean()))
             assert fit.converged
-            assert fit.duality_gap <= 1e-8 * max(1.0, float((design.y**2).mean()))
+            assert fit.duality_gap <= 1e-8 * y_scale
+            # The reported gap is the one the solver computed for these
+            # coefficients, not a default.
+            gap = residual_gap(design, fit.coef_matrix, lam, fit.mix)
+            assert gap > 1e-13 * y_scale
+            assert fit.duality_gap == pytest.approx(gap, rel=1e-3, abs=1e-14 * y_scale)
+
+    def test_sweep_cap_reports_nonconvergence(self, rng, monkeypatch):
+        design = build_design(simulate(random_stable_model(rng, 4), 300, 9), 4)
+        monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
+        fit = fit_regularized(design, "lasso", 0.01)
+        assert not fit.converged
+        gap = residual_gap(design, fit.coef_matrix, 0.01, 1.0)
+        assert fit.duality_gap == pytest.approx(gap, rel=1e-6)
+        assert fit.duality_gap > 1e-8
+
+    def test_ridge_matches_normal_equations(self):
+        for name, path, p in oracle_paths():
+            design = build_design(path, p)
+            x, y = design.x, design.y
+            for lam in (1e-4, 0.01, 1.0):
+                got = fit_regularized(design, "ridge", lam).coef_matrix
+                lhs = x.T @ x + design.t_rows * lam * np.eye(x.shape[1])
+                want = np.linalg.solve(lhs, x.T @ y)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-10, (name, lam, err)
 
     def test_lasso_l1_norm_monotone_in_strength(self, rng):
         model = random_stable_model(rng, 3)
@@ -218,8 +312,32 @@ class TestFitCV:
         with pytest.raises(BadInputError):
             fit_cv(path, 1, "ridge", lam_grid=[])
 
+    @pytest.mark.parametrize("estimator", ["ridge", "lasso", "elasticNet"])
+    def test_path_matches_per_cell_fits(self, estimator, monkeypatch):
+        # At the default tolerances the path picks what one fit per cell
+        # picks; scores agree up to what the duality-gap tolerance allows.
+        for name, path, p in oracle_paths():
+            cv = fit_cv(path, p, estimator, lam_grid=ORACLE_LAMS, mix_grid=ORACLE_MIXES)
+            score, lam, mix = per_cell_cv(path, p, estimator, ORACLE_LAMS, ORACLE_MIXES)
+            assert (cv.lam, cv.mix) == (lam, mix), name
+            assert cv.cv_score == pytest.approx(score, rel=1e-5), name
+        # Solved to the last bits, warm starts and per-cell fits agree
+        # closely, so only the path's bookkeeping is compared.
+        monkeypatch.setattr(estimators, "DUALITY_GAP_TOL", 0.0)
+        monkeypatch.setattr(estimators, "COEF_CHANGE_TOL", 1e-14)
+        for name, path, p in oracle_paths():
+            cv = fit_cv(path, p, estimator, lam_grid=ORACLE_LAMS, mix_grid=ORACLE_MIXES)
+            score, lam, mix = per_cell_cv(path, p, estimator, ORACLE_LAMS, ORACLE_MIXES)
+            assert (cv.lam, cv.mix) == (lam, mix), name
+            assert cv.cv_score == pytest.approx(score, rel=1e-10), name
+
     def test_ties_break_toward_larger_strength(self):
         # Duplicate grid points force exact ties; the larger strength wins.
         path = simulate(VarModel.from_coeffs([0.5]), 200, 3)
         cv = fit_cv(path, 1, "ridge", lam_grid=[0.05, 0.05])
         assert cv.lam == 0.05
+        # On white noise, strengths that zero every lasso coefficient tie
+        # exactly; the largest wins.
+        noise = simulate(VarModel.from_coeffs([0.0]), 200, 4)
+        cv = fit_cv(noise, 2, "lasso", lam_grid=[5.0, 20.0, 10.0])
+        assert cv.lam == 20.0 and not cv.coef_matrix.any()

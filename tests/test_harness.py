@@ -13,6 +13,7 @@ from varcausal.harness import (
     ExperimentRecord,
     bucket_by_kappa,
     records_to_csv,
+    run,
     run_confounded,
     run_omega_sweep,
     run_sample_sweep,
@@ -79,6 +80,36 @@ class TestConfig:
         # These used to skip every process, or fail later inside a worker.
         with pytest.raises(ConfigError):
             tiny_cfg(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mode": "sampleSweep", "sweep_train_sizes": (20, 20)},
+            {"mode": "sampleSweep", "sweep_train_sizes": ()},
+            {"mode": "sampleSweep", "orders": (3,), "sweep_train_sizes": (40, 3)},
+            {"mode": "sampleSweep", "orders": (3,), "sweep_train_sizes": (4,)},
+            {"orders": (3,), "n_train": 4},
+            {"orders": (3,), "n_train": 5, "omega": 2},
+            {"orders": (1,), "order_pairs": ((6, 1),), "n_train": 7},
+            {"mode": "omegaSweep", "orders": (3,), "sweep_omegas": (1, 7), "n_train": 10},
+            {"mode": "confounded", "orders": (2,), "n_train": 3, "mc_draws": 10},
+        ],
+    )
+    def test_training_sizes_checked(self, bad):
+        # Each size must be distinct and longer than a fit order plus the
+        # horizon, which thm1 scores on the training path.
+        with pytest.raises(ConfigError):
+            tiny_cfg(**bad)
+
+    def test_smallest_training_sizes_run(self):
+        # One row past the limit, every estimator fits and every record is kept.
+        for kw in (
+            {"mode": "sampleSweep", "sweep_train_sizes": (5, 6)},
+            {"n_train": 5, "estimators": ("ols", "ridge", "lasso")},
+            {"mode": "omegaSweep", "sweep_omegas": (1, 2), "n_train": 6},
+        ):
+            res = run(tiny_cfg(n_processes=2, orders=(3,), bucket_size=1, **kw))
+            assert res.metadata["skipped"] == 0 and res.records
 
     def test_round_trip(self):
         cfg = tiny_cfg(order_pairs=((1, 3),))
@@ -353,11 +384,12 @@ class TestDerivedQuantitiesOnce:
             return counts
 
         assert one_process() == once
-        # Per horizon: one window for the single-step record, and for the
-        # every-step record its own window plus the single-step one its bounds use.
-        # Each of the 6 records has its own pair, so its own floor.
+        # The process's 6 records share one pair.  Per horizon: one noise
+        # floor, one statistical risk, and one intervened window and causal
+        # risk per regime; the every-step record's bounds reuse the
+        # single-step window.
         assert one_process(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == {
-            **once, "interventional_cov": 9, "noise_floor": 6, "_risk": 15
+            **once, "interventional_cov": 6, "noise_floor": 3, "_risk": 9
         }
         # One truth and one test path per process; one training path and one
         # fit (a spectrum and a companion) per size.
@@ -366,6 +398,26 @@ class TestDerivedQuantitiesOnce:
             "noise_floor": 3, "_risk": 6,
         }
         assert sorted(lengths) == [20, 40, 60, 1000]
+
+
+class TestFitCounters:
+    def test_counts_in_metadata(self):
+        # Two design rows for five lags: every least-squares fit is
+        # rank-deficient; ridge never is.
+        kw = dict(n_processes=3, orders=(5,), n_train=7, bucket_size=1, mc_draws=0)
+        meta = run(tiny_cfg(estimators=("ols", "ridge"), **kw)).metadata
+        assert meta["fits_rank_deficient"] == 3
+        assert meta["fits_nonconverged"] == 0
+
+    def test_sweep_cap_is_counted(self, monkeypatch):
+        from varcausal import estimators
+
+        cfg = tiny_cfg(n_processes=3, orders=(3,), estimators=("lasso",), mc_draws=0)
+        assert run(cfg).metadata["fits_nonconverged"] == 0
+        monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
+        res = run(cfg)
+        assert res.metadata["fits_nonconverged"] > 0
+        assert res.metadata["n_records"] == 3
 
 
 class TestEmpiricalAgreement:
