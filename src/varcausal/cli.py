@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import (
     admissible_block_scheme,
     condition_number,
@@ -31,8 +33,9 @@ from .harness import (
     sweep_to_csv,
 )
 from .interventions import InterventionSpec
-from .process import SamplePath, VarModel, is_stationary, simulate
+from .process import SamplePath, VarModel, _recursion, is_stationary, simulate, values_to_csv
 from .risk import ModelPair, causal_risk, risk_report
+from .seeding import derive_rng
 
 _CATEGORY = {2: "bad-input", 3: "numerical", 4: "config"}
 
@@ -54,6 +57,8 @@ def _read_spec(path: str) -> InterventionSpec:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise BadInputError("n must be positive")
     model = _read_model(args.model)
     ok, spec = is_stationary(model)
     if not ok and not args.allow_unstable:
@@ -64,22 +69,11 @@ def _cmd_simulate(args) -> int:
     if ok:
         text = simulate(model, args.n, args.seed, burn_in=args.burn_in).to_csv()
     else:
-        # Forced unstable simulation: plain recursion, zero start, no burn-in.
-        # Divergent values are written as-is (they may overflow to inf).
-        import numpy as np
-
-        from .process import values_to_csv
-        from .seeding import derive_rng
-
+        # Forced unstable simulation: zero start, no burn-in.  Divergent
+        # values are written as-is (they may overflow to inf).
         rng = derive_rng(args.seed)
         eps = rng.standard_normal((args.n, model.d)) * model.noise_variance**0.5
-        buf = np.zeros((model.p + args.n, model.d))
-        for t in range(args.n):
-            acc = eps[t].copy()
-            for l, block in enumerate(model.coeffs, start=1):
-                acc += block @ buf[model.p + t - l]
-            buf[model.p + t] = acc
-        text = values_to_csv(buf[model.p :])
+        text = values_to_csv(_recursion(model.coeffs, np.zeros((model.p, model.d)), eps))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)

@@ -89,8 +89,9 @@ SUMMARY_FIELDS = ("kappa_mid", "max_diff", "mean_diff", "q90_diff", "bound", "co
 
 SWEEP_FIELDS = ("n_train", "q0", "q25", "q50", "q75", "q100", "mean", "std", "count")
 
-#: Per-run counts of fits whose ``FitResult`` flags are set, in ``metadata.json``.
-FIT_COUNTERS = ("fits_nonconverged", "fits_rank_deficient")
+#: Per-run counts in ``metadata.json``: fits whose ``FitResult`` flags are set,
+#: and thm1 values that are NaN because ``thm1_bound`` refused the block scheme.
+RUN_COUNTERS = ("fits_nonconverged", "fits_rank_deficient", "thm1_nan")
 
 
 @dataclass(frozen=True)
@@ -305,6 +306,7 @@ def _thm1_rhs(
     kappa: float,
     rho: float,
     g_analytic: float,
+    counts: dict,
 ) -> float:
     scheme = admissible_block_scheme(train.n, rho, cfg.confidence)
     try:
@@ -325,6 +327,7 @@ def _thm1_rhs(
         return report.value
     except NumericalError:
         # The default scheme can be inadmissible for this rho and confidence.
+        counts["thm1_nan"] += 1
         return math.nan
 
 
@@ -336,6 +339,7 @@ def _standard_record(
     train: SamplePath,
     test: SamplePath,
     fit: FitResult,
+    counts: dict,
     regime: str = "single",
 ) -> ExperimentRecord:
     """One record of ``fit`` against the truth; ``pair`` is (truth, fit.model),
@@ -363,7 +367,7 @@ def _standard_record(
     prop1 = prop1_bound(pair, omega).value
     cor2 = cor2_bound(pair, omega).value
     rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
-    thm1 = _thm1_rhs(cfg, pid, fit.model, train, omega, kappa_cov, rho, g_an)
+    thm1 = _thm1_rhs(cfg, pid, fit.model, train, omega, kappa_cov, rho, g_an, counts)
 
     return ExperimentRecord(
         process_id=pid,
@@ -402,7 +406,7 @@ def run_standard(cfg: ExperimentConfig) -> RunResult:
     ]
     records = []
     skipped = 0
-    counts = dict.fromkeys(FIT_COUNTERS, 0)
+    counts = dict.fromkeys(RUN_COUNTERS, 0)
     for block, (p_fit, q_true) in enumerate(pairs):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
@@ -414,7 +418,9 @@ def run_standard(cfg: ExperimentConfig) -> RunResult:
             for estimator in cfg.estimators:
                 fit = _fit(cfg, train, p_fit, estimator, counts)
                 pair = ModelPair(truth=truth, fitted=fit.model)
-                records.append(_standard_record(cfg, pid, cfg.omega, pair, train, test, fit))
+                records.append(
+                    _standard_record(cfg, pid, cfg.omega, pair, train, test, fit, counts)
+                )
     records.sort(key=lambda r: (r.process_id, r.estimator))
     summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
     meta = _metadata(cfg, records, skipped, dropped, counts)
@@ -431,7 +437,7 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
     # (process, size) unit without a record counts once in ``skipped``.
     per_size: list[list[ExperimentRecord]] = [[] for _ in sizes]
     skipped = 0
-    counts = dict.fromkeys(FIT_COUNTERS, 0)
+    counts = dict.fromkeys(RUN_COUNTERS, 0)
     for block, q in enumerate(cfg.orders):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
@@ -444,7 +450,9 @@ def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
                     train = _train_path(cfg, pid, truth, n_train)
                     fit = _fit(cfg, train, q, estimator, counts)
                     pair = ModelPair(truth=truth, fitted=fit.model)
-                    recs.append(_standard_record(cfg, pid, cfg.omega, pair, train, test, fit))
+                    recs.append(
+                        _standard_record(cfg, pid, cfg.omega, pair, train, test, fit, counts)
+                    )
                 except NumericalError:
                     skipped += 1
 
@@ -479,7 +487,7 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
     estimator = cfg.estimators[0]
     records = []
     skipped = 0
-    counts = dict.fromkeys(FIT_COUNTERS, 0)
+    counts = dict.fromkeys(RUN_COUNTERS, 0)
     for block, q in enumerate(cfg.orders):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
             try:
@@ -493,7 +501,7 @@ def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
             for omega in cfg.sweep_omegas:
                 for regime in ("single", "all"):
                     records.append(
-                        _standard_record(cfg, pid, omega, pair, train, test, fit, regime)
+                        _standard_record(cfg, pid, omega, pair, train, test, fit, counts, regime)
                     )
     records.sort(key=lambda r: (r.process_id, r.omega, r.regime))
     summaries = {}
@@ -520,7 +528,7 @@ def run_confounded(cfg: ExperimentConfig) -> RunResult:
     started = time.monotonic()
     records = []
     skipped = 0
-    counts = dict.fromkeys(FIT_COUNTERS, 0)
+    counts = dict.fromkeys(RUN_COUNTERS, 0)
     for pid in range(cfg.n_processes):
         try:
             truth, test2 = _sample_truth_and_test(cfg, pid, 1, d=2)
@@ -562,7 +570,7 @@ def _confounded_record(
     prop1 = (2.0 * kappa - 1.0) * max(s_emp - sigma2_hat, 0.0)
     delta_true = truth.spectrum.max_modulus
     rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
-    thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, rho, g_mc)
+    thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, rho, g_mc, counts)
     return ExperimentRecord(
         process_id=pid,
         order_true=1,
@@ -649,7 +657,7 @@ def bucket_by_kappa(records, bucket_size: int) -> tuple[list[BucketSummary], int
 
 
 def _metadata(
-    cfg: ExperimentConfig, records, skipped: int, bucket_dropped, fit_counts: dict
+    cfg: ExperimentConfig, records, skipped: int, bucket_dropped, counts: dict
 ) -> dict:
     # Confounded runs have no analytic causal risk; thm1 bounds the MC one.
     g_field = "g_mc" if cfg.mode == "confounded" else "g_analytic"
@@ -674,7 +682,7 @@ def _metadata(
         "bucket_dropped_tail": int(bucket_dropped),
         "prop1_violations": prop1_viol,
         "thm1_violations": thm1_viol,
-        **fit_counts,
+        **counts,
     }
 
 

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varcausal
 from varcausal.cli import main, read_config_file
-from varcausal.process import VarModel
+from varcausal.process import VarModel, values_from_csv
+from varcausal.seeding import derive_rng
 
 
 def write_model(tmp_path, name, coeffs, noise=1.0):
@@ -47,15 +53,63 @@ class TestSimulateCommand:
         model = write_model(tmp_path, "m.json", [1.5])
         out = tmp_path / "p.csv"
         rc = main(
-            ["simulate", "--model", model, "--n", "10", "--allow-unstable", "--out", str(out)]
+            ["simulate", "--model", model, "--n", "10", "--seed", "4", "--allow-unstable",
+             "--out", str(out)]
         )
-        assert rc == 0 and out.exists()
+        assert rc == 0
+        got = values_from_csv(out.read_text())[:, 0]
+        # Reference: the plain recursion from a zero start.
+        eps = derive_rng(4).standard_normal(10)
+        want = np.zeros(10)
+        for t in range(10):
+            want[t] = eps[t] + (1.5 * want[t - 1] if t else 0.0)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("flags", [[], ["--allow-unstable"]])
+    def test_nonpositive_length_is_bad_input(self, tmp_path, capsys, flags):
+        model = write_model(tmp_path, "m.json", [1.5])
+        for n in ("0", "-1"):
+            rc = main(["simulate", "--model", model, "--n", n, *flags,
+                       "--out", str(tmp_path / "p.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: bad-input: n must be positive")
+
+    def test_near_unit_root_burn_in_is_bad_input(self, tmp_path, capsys):
+        # The default burn-in rule asks for 2.07e13 steps at this modulus.
+        model = write_model(tmp_path, "m.json", [0.999999999999])
+        out = tmp_path / "p.csv"
+        rc = main(["simulate", "--model", model, "--n", "10", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-input:") and "--burn-in" in err
+        rc = main(["simulate", "--model", model, "--n", "10", "--burn-in", "500", "--out", str(out)])
+        assert rc == 0 and len(values_from_csv(out.read_text())) == 10
 
     def test_missing_model_file(self, tmp_path, capsys):
         rc = main(["simulate", "--model", str(tmp_path / "nope.json"), "--n", "5",
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad-input:")
+
+
+class TestImportHygiene:
+    def test_import_leaves_out_scipy_signal_and_stats(self):
+        # Each takes most of a second to import, which every CLI call would
+        # pay; the package needs neither.
+        code = (
+            "import sys, varcausal, varcausal.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        )
+        src = str(Path(varcausal.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestRiskCommand:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from varcausal.errors import ConfigError
+from varcausal.process import SamplePath
 from varcausal.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -418,6 +419,50 @@ class TestFitCounters:
         res = run(cfg)
         assert res.metadata["fits_nonconverged"] > 0
         assert res.metadata["n_records"] == 3
+
+
+class TestThm1NanCounter:
+    @pytest.mark.parametrize("mode", ["standard", "confounded"])
+    def test_refused_scheme_is_counted(self, monkeypatch, mode):
+        from varcausal import harness
+        from varcausal.errors import NumericalError
+
+        cfg = tiny_cfg(mode=mode, n_processes=3, orders=(2,), mc_draws=50, bucket_size=1)
+        assert run(cfg).metadata["thm1_nan"] == 0
+        calls = []
+        real = harness.thm1_bound
+
+        def refuse_second(*args, **kw):
+            # One thm1 evaluation per process, in process order.
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalError("invalid block scheme")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(harness, "thm1_bound", refuse_second)
+        res = run(cfg)
+        assert res.metadata["skipped"] == 0 and len(calls) == 3
+        assert res.metadata["thm1_nan"] == 1
+        assert [r.process_id for r in res.records if math.isnan(r.thm1_rhs)] == [1]
+
+    def test_admissible_scheme_leaves_positive_confidence(self):
+        # Why the counter reads 0 on ordinary runs: the scheme the harness
+        # picks never drives thm1's corrected confidence to zero or below.
+        from varcausal.bounds import admissible_block_scheme, thm1_bound
+        from varcausal.process import VarModel, simulate
+
+        model = VarModel.from_coeffs([0.5])
+        path = simulate(model, 1000, 3)
+        for n in (3, 5, 10, 37, 100, 1000):
+            sub = SamplePath(values=path.values[:n], seed=0, burn_in=0)
+            for rho in (0.01, 0.3, 0.7, 0.9, 0.99, 0.999):
+                for confidence in (0.001, 0.05, 0.1, 0.5, 0.9):
+                    scheme = admissible_block_scheme(n, rho, confidence)
+                    rep = thm1_bound(
+                        model, sub, scheme, 1, 1, kappa=1.0, m_trunc=None, rho=rho,
+                        confidence=confidence, draws=8,
+                    )
+                    assert rep.inputs["confidence_effective"] > 0.0, (n, rho, confidence)
 
 
 class TestEmpiricalAgreement:

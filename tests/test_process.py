@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from varcausal.companion import build_companion, spectrum
 from varcausal.errors import BadInputError, NumericalError
 from varcausal.process import (
+    _SOLVE_STEPS,
+    MAX_PATH_STEPS,
     SamplePath,
     VarModel,
+    _recursion,
     _step_down_unstable,
     autocov_blocks,
     default_burn_in,
@@ -20,7 +24,9 @@ from varcausal.process import (
     is_stationary,
     rejection_sample_stable,
     simulate,
+    stationary_window,
 )
+from varcausal.seeding import as_rng
 
 from conftest import random_stable_model
 
@@ -127,11 +133,22 @@ class TestSimulate:
         model = VarModel.from_coeffs([a1])
         path = simulate(model, 50, 11, burn_in=5)
         assert path.values.shape == (50, 2)
-        assert np.all(np.isfinite(path.values))
+        _assert_matches(path.values, _reference_path(model, 50, 11, "zero", burn_in=5))
 
     def test_unstable_model_refused(self):
         with pytest.raises(NumericalError):
             simulate(VarModel.from_coeffs([1.01]), 10, 0)
+
+    def test_near_unit_root_default_burn_in_is_refused(self):
+        # The default burn-in here is 2.07e13 steps; it must be refused
+        # before anything is allocated.
+        model = VarModel.from_coeffs([0.999999999999])
+        with pytest.raises(BadInputError, match="--burn-in"):
+            simulate(model, 10, 0)
+        with pytest.raises(BadInputError, match="--burn-in"):
+            simulate(model, 10, 0, burn_in=MAX_PATH_STEPS)
+        assert simulate(model, 10, 0, burn_in=100).n == 10
+        assert simulate(model, 10, 0, init="stationary").n == 10
 
     def test_burn_in_rule(self):
         assert default_burn_in(0.0) == 1000
@@ -141,6 +158,124 @@ class TestSimulate:
         path = simulate(VarModel.from_coeffs([0.5]), 20, 5)
         back = SamplePath.from_csv(path.to_csv())
         np.testing.assert_array_equal(back.values, path.values)
+
+
+def _loop_recursion(coeffs, history, eps):
+    """Reference: the recursion as a plain per-step loop."""
+    p = history.shape[0]
+    buf = np.concatenate([history, np.zeros_like(eps)], axis=0)
+    for t in range(len(eps)):
+        acc = eps[t].copy()
+        for l, block in enumerate(coeffs, start=1):
+            acc += block @ buf[p + t - l]
+        buf[p + t] = acc
+    return buf[p:]
+
+
+def _lfilter_recursion(coeffs, history, eps):
+    """Reference (d = 1): the recursion as an IIR filter seeded with the lag window."""
+    a_poly = np.concatenate(([1.0], [-b[0, 0] for b in coeffs]))
+    zi = signal.lfiltic([1.0], a_poly, history[::-1, 0])
+    out, _ = signal.lfilter([1.0], a_poly, eps[:, 0], zi=zi)
+    return out[:, None]
+
+
+def _reference_path(model, n, seed, init, burn_in=None):
+    """``simulate``'s draws, run through a reference recursion."""
+    rng = as_rng(seed)
+    if init == "stationary":
+        history = stationary_window(model, model.p, rng)[::-1]
+        burn = 0
+    else:
+        history = np.zeros((model.p, model.d))
+        burn = default_burn_in(model.spectrum.max_modulus) if burn_in is None else burn_in
+    eps = rng.standard_normal((n + burn, model.d)) * math.sqrt(model.noise_variance)
+    recursion = _lfilter_recursion if model.d == 1 else _loop_recursion
+    return recursion(model.coeffs, history, eps)[burn:]
+
+
+def _assert_matches(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _repeated_root_model(p):
+    """AR(p) with double roots at 0.999 and -0.998, then distinct real roots."""
+    roots = [0.999, 0.999, -0.998, -0.998, 0.3, -0.5, 0.7, -0.2][:p]
+    return VarModel.from_coeffs(-np.poly(roots)[1:])
+
+
+def _unit_circle_model(p, modulus):
+    """AR(p) with distinct roots of one modulus: conjugate pairs, plus one real root."""
+    angles = 0.4 * np.arange(1, p // 2 + 1)
+    roots = [modulus] * (p % 2) + list(modulus * np.exp(1j * angles))
+    roots += [np.conj(r) for r in roots[p % 2 :]]
+    return VarModel.from_coeffs(-np.poly(roots).real[1:])
+
+
+class TestRecursionOracle:
+    """The banded solve against lfilter (d = 1) and the per-step loop (d > 1)."""
+
+    @pytest.mark.parametrize("init", ["stationary", "zero"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_scalar_matches_lfilter(self, p, init):
+        models = [
+            rejection_sample_stable(p, 1, -2.0, 2.0, 300 + p),
+            _repeated_root_model(p),
+            _unit_circle_model(p, 0.9999),
+        ]
+        for seed, model in enumerate(models):
+            # Zero init runs the default burn-in: 20-23 thousand steps, several
+            # blocks, for the roots near one.
+            got = simulate(model, 1000, seed, init=init).values
+            _assert_matches(got, _reference_path(model, 1000, seed, init))
+
+    @pytest.mark.parametrize("init", ["stationary", "zero"])
+    @pytest.mark.parametrize("d, p", [(2, 1), (2, 3), (3, 2), (3, 4)])
+    def test_vector_matches_loop(self, d, p, init):
+        model = rejection_sample_stable(p, d, -1.0 / d, 1.0 / d, 40 + 10 * d + p, noise_variance=0.7)
+        got = simulate(model, 300, 5, burn_in=60, init=init).values
+        _assert_matches(got, _reference_path(model, 300, 5, init, burn_in=60))
+
+    @pytest.mark.parametrize("d, p", [(1, 5), (2, 2), (3, 3)])
+    def test_crosses_block_boundaries(self, d, p):
+        rng = np.random.default_rng(d + 10 * p)
+        model = rejection_sample_stable(p, d, -1.0 / d, 1.0 / d, rng)
+        history = rng.standard_normal((p, d))
+        eps = rng.standard_normal((2 * _SOLVE_STEPS + 37, d))
+        want = _loop_recursion(model.coeffs, history, eps)
+        _assert_matches(_recursion(model.coeffs, history, eps.copy()), want)
+        # Shorter than one block, and exactly one block.
+        for n in (1, _SOLVE_STEPS):
+            _assert_matches(_recursion(model.coeffs, history, eps[:n].copy()), want[:n])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("p", [5, 7, 8])
+    def test_high_multiplicity_roots_no_less_accurate_than_lfilter(self, p):
+        # Roots of multiplicity 3 and 4 near the circle make the recursion
+        # ill-conditioned: the two float64 routes then differ by up to 5e-7
+        # relative, so each is scored against an extended-precision loop.
+        roots = [0.999] * (p - p // 2) + [-0.998] * (p // 2)
+        model = VarModel.from_coeffs(-np.poly(roots)[1:])
+        eps = as_rng(1).standard_normal((6000, 1))
+        history = np.zeros((p, 1))
+        a = np.array([b[0, 0] for b in model.coeffs], dtype=np.longdouble)
+        exact = np.zeros(p + len(eps), dtype=np.longdouble)
+        for t, e in enumerate(eps[:, 0].astype(np.longdouble)):
+            exact[p + t] = e + np.dot(a, exact[t : p + t][::-1])
+        exact = exact[p:, None]
+
+        def error(x):
+            return float(np.abs(x - exact).max() / np.abs(exact).max())
+
+        banded = error(_recursion(model.coeffs, history, eps.copy()))
+        assert banded <= error(_lfilter_recursion(model.coeffs, history, eps))
+
+    def test_zero_init_burn_in_crosses_a_block(self):
+        model = VarModel.from_coeffs([np.array([[0.5, 0.2], [-0.1, 0.3]]), 0.2 * np.eye(2)])
+        burn = _SOLVE_STEPS + 11
+        got = simulate(model, 200, 3, burn_in=burn).values
+        _assert_matches(got, _reference_path(model, 200, 3, "zero", burn_in=burn))
 
 
 class TestExactAutocov:
