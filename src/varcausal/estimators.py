@@ -13,15 +13,19 @@ Objectives (per target column, ``T`` usable rows):
     elasticNet: (1/2T) ||y - X b||^2 + lam (mix ||b||_1 + (1-mix)/2 ||b||^2)
 
 Ridge is closed form through a thin SVD of the design, which gives every
-strength at once.  Lasso and elastic net run cyclic coordinate descent with
-soft thresholding in covariance form (on ``X'X/T`` and ``X'y/T``), stopping
-on a duality-gap tolerance; cross-validation warm-starts it down the
-strength grid.  ``lam = 0`` reduces every estimator to OLS.
+strength at once.  Lasso and elastic net share one solver, ``_enet_solve``:
+cyclic coordinate descent with soft thresholding in covariance form (on
+``X'X/T`` and ``X'y/T``), vectorized over a batch of independent problems
+(one per target column, and in cross-validation one per fold, mix and
+target).  Each duality-gap check also tries the exact solution on the
+current support and signs, which usually ends a warm-started fit before
+its first sweep.  Cross-validation walks the strength grid from strong to
+weak, warm-starting each batch from the last.  ``lam = 0`` reduces every
+estimator to OLS.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,69 +157,148 @@ def _ridge_path(x: np.ndarray, y: np.ndarray, lams: list) -> np.ndarray:
     return coef.reshape(x.shape[1], len(lams), y.shape[1]).transpose(1, 0, 2)
 
 
-def _moments(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list]:
-    """``X'X/T`` (rows), ``X'y/T`` (one list per target) and ``y'y/T`` per target."""
+def _moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``X'X/T`` (k, k), ``X'y/T`` (d, k, one row per target) and ``y'y/T`` (d,)."""
     t_rows = x.shape[0]
-    return (
-        (x.T @ x / t_rows).tolist(),
-        (y.T @ x / t_rows).tolist(),
-        ((y * y).sum(axis=0) / t_rows).tolist(),
-    )
+    return x.T @ x / t_rows, y.T @ x / t_rows, (y * y).sum(axis=0) / t_rows
 
 
-def _enet_cd(
-    gram: list, xty: list, yy: float, lam: float, mix: float, beta: list
-) -> tuple[list, bool, float]:
-    """Cyclic coordinate descent for one target column, in covariance form.
+def _enet_solve(
+    gram: np.ndarray,
+    xty: np.ndarray,
+    yy: np.ndarray,
+    l1: np.ndarray,
+    l2: np.ndarray,
+    beta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cyclic coordinate descent on B independent elastic-net problems at once.
 
-    Works on the moments of ``_moments`` alone, so a sweep costs O(k^2)
-    whatever the row count, and starts from ``beta`` (Friedman, Hastie &
-    Tibshirani 2010).  Stops when the duality gap, evaluated every
-    ``GAP_CHECK_SWEEPS`` sweeps, is within ``DUALITY_GAP_TOL``, or when no
-    coefficient moves by ``COEF_CHANGE_TOL``.  Needs ``lam * mix > 0``.
+    Row ``b`` minimizes ``beta'G beta/2 - c'beta + l1 |beta|_1 + l2 |beta|^2/2``
+    in covariance form (Friedman, Hastie & Tibshirani 2010), so a sweep costs
+    O(k^2) per row whatever the design's row count.  ``gram`` is G, (k, k)
+    shared or (B, k, k); ``xty`` is c, (B, k); ``yy``, ``l1 > 0`` and
+    ``l2 >= 0`` are (B,); ``beta`` (B, k) is the start.  Each coordinate
+    update is vectorized over the rows.
+
+    The duality gap is checked before the first sweep, then every
+    ``GAP_CHECK_SWEEPS`` sweeps and at ``MAX_SWEEPS``.  Each check also tries
+    the exact support step of feature-sign search (Lee, Battle, Raina & Ng
+    2007): solve ``(G_SS + l2 I) beta_S = c_S - l1 sign(beta_S)`` on the
+    current support and signs, and keep it where its own gap passes.  A row's
+    result is final at its first check with a gap within
+    ``DUALITY_GAP_TOL * max(1, yy)``, or after a sweep that moved none of its
+    coefficients by ``COEF_CHANGE_TOL``.  Checks act only on the rows due for
+    one, so no row's result depends on which rows share its batch.
+
+    Returns ``(beta, converged, gap)`` of shapes (B, k), (B,), (B,).
     """
-    beta = list(beta)
-    l1, l2 = lam * mix, lam * (1.0 - mix)
-    grad = [c - sum(g * b for g, b in zip(row, beta)) for c, row in zip(xty, gram)]
-    tol = DUALITY_GAP_TOL * max(1.0, yy)
-    gap = math.inf
-    for sweep in range(MAX_SWEEPS):
-        change = 0.0
-        for j, row in enumerate(gram):
-            diag = row[j]
-            if diag == 0.0:
-                continue
-            old = beta[j]
-            z = grad[j] + diag * old
-            new = (z - l1 if z > l1 else z + l1 if z < -l1 else 0.0) / (diag + l2)
-            if new != old:
-                step = new - old
-                beta[j] = new
+    n, k = xty.shape
+    beta_out, ok_out, gap_out = np.empty((k, n)), np.zeros(n, dtype=bool), np.empty(n)
+    # Coordinate-major: index [j] is coordinate j across the rows, and a shared
+    # Gram matrix broadcasts as a single row.  Rows whose result is final keep
+    # sweeping with the rest; only their output is frozen.
+    g = (gram if gram.ndim == 3 else gram[None]).transpose(1, 2, 0)
+    c, b = xty.T, beta.T.copy()
+    lo, tol = -l1, DUALITY_GAP_TOL * np.maximum(1.0, yy)
+    diag = np.diagonal(g).T
+    ridge_diag = diag + l2
+    # A zero column carries no signal; dividing by inf pins its coefficient at 0.
+    denom = np.where(diag != 0.0, ridge_diag, np.inf)
+    grad = c - _rowsum(g * b[:, None])
+    coords = list(zip(g, diag, denom, b, grad))
+    start = np.empty_like(b)
+    active = np.ones(n, dtype=bool)
+    stalled = np.zeros(n, dtype=bool)
+    sweep = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            capped = sweep >= MAX_SWEEPS
+            if capped or sweep % GAP_CHECK_SWEEPS == 0 or stalled.any():
+                due = stalled | (active & (capped or sweep % GAP_CHECK_SWEEPS == 0))
+                trial = _support_step(g, c, yy, l1, ridge_diag, b)
+                trial_grad = c - _rowsum(g * trial[:, None])
+                gap = _gap(c, yy, l1, l2, trial, trial_grad)
+                take = due & (gap <= tol)
+                np.copyto(b, trial, where=take)
+                np.copyto(grad, trial_grad, where=take)
+                if (take != due).any():
+                    gap = _gap(c, yy, l1, l2, b, grad)
+                ok = stalled | (gap <= tol)
+                leave = due if capped else due & ok
+                np.copyto(beta_out, b, where=leave)
+                np.copyto(ok_out, ok, where=leave)
+                np.copyto(gap_out, gap, where=leave)
+                active &= ~leave
+                if not active.any():
+                    return beta_out.T, ok_out, gap_out
+            np.copyto(start, b)
+            for g_j, diag_j, denom_j, b_j, grad_j in coords:
+                z = grad_j + diag_j * b_j
+                new = (z - np.minimum(np.maximum(z, lo), l1)) / denom_j
                 # The Gram matrix is symmetric: column j is row j.
-                grad = [g - r * step for g, r in zip(grad, row)]
-                change = max(change, abs(step))
-        stalled = change < COEF_CHANGE_TOL
-        if stalled or sweep % GAP_CHECK_SWEEPS == GAP_CHECK_SWEEPS - 1 or sweep == MAX_SWEEPS - 1:
-            gap = _enet_gap(xty, yy, beta, grad, l1, l2)
-            if stalled or gap <= tol:
-                return beta, True, gap
-    return beta, False, gap
+                grad -= g_j * (new - b_j)
+                b_j[...] = new
+            stalled = active & (np.maximum.reduce(np.abs(b - start)) < COEF_CHANGE_TOL)
+            sweep += 1
 
 
-def _enet_gap(xty: list, yy: float, beta: list, grad: list, l1: float, l2: float) -> float:
-    """Duality gap of the elastic-net objective, on the per-row (1/T) scale.
+def _rowsum(v: np.ndarray) -> np.ndarray:
+    """Sum over coordinates (axis 0) in a fixed order, whatever the batch size."""
+    out = v[0].copy()
+    for row in v[1:]:
+        out += row
+    return out
+
+
+def _gap(
+    c: np.ndarray, yy: np.ndarray, l1: np.ndarray, l2: np.ndarray, b: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """Duality gap of each row's elastic-net objective, on the per-row (1/T) scale.
 
     Computed through the augmented-lasso form: the squared-l2 part of the
     penalty joins the residual ``r``, leaving a plain l1 problem whose dual
     point is a scaled residual.  ``grad = X'r/T``, so ``r'r/T`` and ``r'y/T``
-    follow from the moments.
+    follow from the moments.  Arrays are coordinate-major, (k, B) or (B,).
     """
-    b_xty = sum(b * c for b, c in zip(beta, xty))
-    r_sq = yy - b_xty - sum(b * g for b, g in zip(beta, grad)) + l2 * sum(b * b for b in beta)
-    dual_norm = max(abs(g - l2 * b) for g, b in zip(grad, beta))
-    primal = 0.5 * r_sq + l1 * sum(abs(b) for b in beta)
-    scale = min(1.0, l1 / dual_norm) if dual_norm > l1 else 1.0
-    return primal - (scale * (yy - b_xty) - 0.5 * scale**2 * r_sq)
+    n = b.shape[1]
+    h = grad - l2 * b
+    sums = _rowsum(np.concatenate((b * c, b * (c + h), np.abs(b)), axis=1))
+    b_xty, r_sq, l1_norm = sums[:n], yy - sums[n : 2 * n], sums[2 * n :]
+    scale = l1 / np.maximum(np.maximum.reduce(np.abs(h)), l1)
+    return 0.5 * r_sq + l1 * l1_norm - scale * ((yy - b_xty) - 0.5 * scale * r_sq)
+
+
+def _support_step(
+    g: np.ndarray, c: np.ndarray, yy: np.ndarray, l1: np.ndarray, ridge_diag: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """Solve each row's stationarity equations on its current support and signs.
+
+    Off the support the system is the identity with a zero right-hand side,
+    so every row solves a k x k system.  A row gets NaN, which no gap check
+    accepts, where its system is singular or where the solution cannot be a
+    minimizer: a minimizer costs no more than zero, so ``l1 |beta|_1 <=
+    yy / 2``.  A numerically singular system (fewer rows than columns, or
+    collinear columns) breaks that bound by many orders of magnitude, while
+    its gap, computed from the same moments, may still look certified.
+    """
+    on = b != 0.0
+    a = np.multiply(g, on[:, None] & on, out=np.empty((len(b), *b.shape)))
+    a.reshape(-1, b.shape[1])[:: len(b) + 1] = np.where(on, ridge_diag, 1.0)
+    rhs = np.where(on, c - l1 * np.sign(b), 0.0).T[:, :, None]
+    a = a.transpose(2, 0, 1)
+    try:
+        sol = np.linalg.solve(a, rhs)[:, :, 0].T
+    except np.linalg.LinAlgError:
+        # One singular system fails the whole stack: solve row by row.
+        sol = np.full(rhs.shape[:2], np.nan)
+        for i in range(len(a)):
+            try:
+                sol[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        sol = sol.T
+    return np.where(l1 * _rowsum(np.abs(sol)) <= 0.5 * yy, sol, np.nan)
 
 
 def fit_regularized(
@@ -256,13 +339,13 @@ def fit_regularized(
 
     eff_mix = 1.0 if estimator == LASSO else mix
     gram, xty, yy = _moments(design.x, design.y)
-    start = [0.0] * len(gram)
-    cols = [_enet_cd(gram, c, s, lam, eff_mix, start) for c, s in zip(xty, yy)]
-    beta = np.array([b for b, _, _ in cols]).T
-    converged = all(ok for _, ok, _ in cols)
-    worst_gap = max(0.0, *(gap for _, _, gap in cols))
+    strength = np.full(design.d, lam)
+    beta, ok, gap = _enet_solve(
+        gram, xty, yy, strength * eff_mix, strength * (1.0 - eff_mix), np.zeros_like(xty)
+    )
+    worst_gap = max(0.0, float(gap.max()))
     return _result_from_beta(
-        design, beta, estimator, lam, eff_mix, None, False, converged, worst_gap
+        design, beta.T, estimator, lam, eff_mix, None, False, bool(ok.all()), worst_gap
     )
 
 
@@ -311,14 +394,11 @@ def fit_cv(
     if design.t_rows < folds:
         raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
     parts = _fold_slices(design.t_rows, folds, shuffle, seed)
-    # Strong to weak, so each coordinate-descent fit warm-starts the next.
+    # Strong to weak, so each coordinate-descent batch warm-starts the next.
     lams = sorted(set(lam_grid), reverse=True)
     mixes = sorted(set(mixes))
     err = np.zeros((len(mixes), len(lams)))
-    for val_idx in parts:
-        mask = np.ones(design.t_rows, dtype=bool)
-        mask[val_idx] = False
-        coef = _path_coefs(design.x[mask], design.y[mask], lams, mixes)
+    for val_idx, coef in zip(parts, _path_coefs(design, parts, lams, mixes)):
         pred = design.x[val_idx] @ coef
         err += ((design.y[val_idx] - pred) ** 2).mean(axis=(-2, -1))
     cv = err / len(parts)
@@ -346,25 +426,46 @@ def fit_cv(
     )
 
 
-def _path_coefs(x: np.ndarray, y: np.ndarray, lams: list, mixes: list) -> np.ndarray:
-    """Coefficients (M, L, k, d) at every l1 weight and descending strength.
+def _path_coefs(design: LaggedDesign, parts: list, lams: list, mixes: list) -> np.ndarray:
+    """Coefficients (F, M, L, k, d) for every fold in ``parts`` (trained on
+    the other rows), l1 weight in ascending ``mixes`` and strength in
+    descending ``lams``.
 
-    Weight 0 is ridge, every strength from one SVD; other weights run
-    coordinate descent down the strengths, each fit warm-starting the next.
-    Strength 0 is minimum-norm least squares.
+    Weight 0 is ridge, every strength from one SVD per fold.  Strength 0 is
+    minimum-norm least squares.  Every other cell is one row of a single
+    ``_enet_solve`` batch per strength: all (fold, weight, target) rows walk
+    the strengths from strong to weak together, each row warm-started from
+    its solution at the previous strength.
     """
-    out = np.empty((len(mixes), len(lams), x.shape[1], y.shape[1]))
+    k, d = design.x.shape[1], design.d
+    out = np.empty((len(parts), len(mixes), len(lams), k, d))
     pos = [lam for lam in lams if lam > 0.0]
-    if len(pos) < len(lams):
-        out[:, -1] = np.linalg.lstsq(x, y, rcond=None)[0]
-    for i, mix in enumerate(mixes):
-        if mix == 0.0:
-            out[i, : len(pos)] = _ridge_path(x, y, pos)
-            continue
-        gram, xty, yy = _moments(x, y)
-        for col in range(y.shape[1]):
-            beta = [0.0] * x.shape[1]
-            for l, lam in enumerate(pos):
-                beta = _enet_cd(gram, xty[col], yy[col], lam, mix, beta)[0]
-                out[i, l, :, col] = beta
+    l1_mix = np.array([mix for mix in mixes if mix > 0.0])
+    moments = []
+    for f, val_idx in enumerate(parts):
+        mask = np.ones(design.t_rows, dtype=bool)
+        mask[val_idx] = False
+        x, y = design.x[mask], design.y[mask]
+        if len(pos) < len(lams):
+            out[f, :, -1] = np.linalg.lstsq(x, y, rcond=None)[0]
+        if len(l1_mix) < len(mixes):
+            out[f, 0, : len(pos)] = _ridge_path(x, y, pos)
+        if pos and l1_mix.size:
+            moments.append(_moments(x, y))
+    if not moments:
+        return out
+    # Rows ordered (fold, weight, target).
+    per_fold = l1_mix.size * d
+    gram = np.repeat(np.stack([m[0] for m in moments]), per_fold, axis=0)
+    xty = np.concatenate([np.tile(m[1], (l1_mix.size, 1)) for m in moments])
+    yy = np.concatenate([np.tile(m[2], l1_mix.size) for m in moments])
+    mix = np.tile(np.repeat(l1_mix, d), len(parts))
+    beta = np.zeros_like(xty)
+    reach = np.abs(xty).max(axis=1)
+    for l, lam in enumerate(pos):
+        l1 = lam * mix
+        # While every |X'y/T| <= l1, zero is each row's exact solution.
+        if (reach > l1).any():
+            beta = _enet_solve(gram, xty, yy, l1, lam * (1.0 - mix), beta)[0]
+        out[:, -l1_mix.size :, l] = beta.reshape(len(parts), l1_mix.size, d, k).swapaxes(2, 3)
     return out

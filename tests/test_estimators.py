@@ -20,23 +20,25 @@ from varcausal.process import SamplePath, VarModel, simulate
 from conftest import random_stable_model
 
 
-def residual_gap(design, beta, lam, mix):
-    """Elastic-net duality gap from the residual (per-row scale), worst column.
+def column_gap(x, y, b, lam, mix):
+    """Elastic-net duality gap of one target column from the residual (per-row scale).
 
     An independent route to the gap the covariance-form solver reports.
     """
-    t_rows = design.t_rows
+    t_rows = x.shape[0]
     alpha, l2 = t_rows * lam * mix, t_rows * lam * (1.0 - mix)
-    worst = 0.0
-    for y, b in zip(design.y.T, beta.T):
-        resid = y - design.x @ b
-        r_sq = float(resid @ resid) + l2 * float(b @ b)
-        dual_norm = float(np.abs(design.x.T @ resid - l2 * b).max())
-        primal = 0.5 * r_sq + alpha * float(np.abs(b).sum())
-        scale = min(1.0, alpha / dual_norm) if dual_norm > alpha else 1.0
-        dual = scale * float(resid @ y) - 0.5 * scale**2 * r_sq
-        worst = max(worst, (primal - dual) / t_rows)
-    return worst
+    resid = y - x @ b
+    r_sq = float(resid @ resid) + l2 * float(b @ b)
+    dual_norm = float(np.abs(x.T @ resid - l2 * b).max())
+    primal = 0.5 * r_sq + alpha * float(np.abs(b).sum())
+    scale = min(1.0, alpha / dual_norm) if dual_norm > alpha else 1.0
+    dual = scale * float(resid @ y) - 0.5 * scale**2 * r_sq
+    return (primal - dual) / t_rows
+
+
+def residual_gap(design, beta, lam, mix):
+    """``column_gap`` of the worst target column."""
+    return max(0.0, *(column_gap(design.x, y, b, lam, mix) for y, b in zip(design.y.T, beta.T)))
 
 
 def per_cell_cv(path, p, estimator, lam_grid, mix_grid, folds=5):
@@ -205,16 +207,20 @@ class TestFitRegularized:
             assert fit.converged
             assert fit.duality_gap <= 1e-8 * y_scale
             # The reported gap is the one the solver computed for these
-            # coefficients, not a default.
+            # coefficients.  The support step solves exactly, so both sit at
+            # rounding level; the non-zero case is the sweep-cap test's.
             gap = residual_gap(design, fit.coef_matrix, lam, fit.mix)
-            assert gap > 1e-13 * y_scale
+            assert gap <= 1e-8 * y_scale
             assert fit.duality_gap == pytest.approx(gap, rel=1e-3, abs=1e-14 * y_scale)
 
     def test_sweep_cap_reports_nonconvergence(self, rng, monkeypatch):
+        # With no sweeps allowed only the check at the (zero) start runs, and
+        # its support step cannot move an empty support.
         design = build_design(simulate(random_stable_model(rng, 4), 300, 9), 4)
-        monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(estimators, "MAX_SWEEPS", 0)
         fit = fit_regularized(design, "lasso", 0.01)
         assert not fit.converged
+        assert not fit.coef_matrix.any()
         gap = residual_gap(design, fit.coef_matrix, 0.01, 1.0)
         assert fit.duality_gap == pytest.approx(gap, rel=1e-6)
         assert fit.duality_gap > 1e-8
@@ -257,6 +263,95 @@ class TestFitRegularized:
             fit_regularized(design, "lasso", -1.0)
         with pytest.raises(BadInputError):
             fit_regularized(design, "elasticNet", 0.1, mix=1.5)
+
+
+def solver_rows(k):
+    """(x, y, lam, mix) problems with k columns: a zero column, T < k, both
+    targets of a d = 2 design and an AR(3) path, as lasso and elastic net."""
+    rng = np.random.default_rng(21)
+    zero = rng.standard_normal((60, k))
+    zero[:, 2] = 0.0
+    coef = rng.uniform(-0.5, 0.5, k)
+    # At k = 10 and lam = 0.01 this short design's support system is
+    # singular up to rounding; its solution runs off to |beta|_1 ~ 1e13.
+    short = np.random.default_rng(1)
+    designs = [
+        (zero, zero @ coef + 0.3 * rng.standard_normal(60)),
+        (short.standard_normal((3, k)), short.standard_normal(3)),
+    ]
+    d2 = build_design(oracle_paths()[2][1], k // 2)
+    designs += [(d2.x, y) for y in d2.y.T]
+    ar = build_design(simulate(random_stable_model(rng, 3), 200, 22), k)
+    designs.append((ar.x, ar.y[:, 0]))
+    penalties = ((0.05, 1.0), (0.01, 1.0), (0.002, 0.4))
+    return [(x, y, lam, mix) for x, y in designs for lam, mix in penalties]
+
+
+def stack_rows(rows):
+    """Solver inputs (gram, xty, yy, l1, l2) for ``solver_rows``."""
+    t = [x.shape[0] for x, _, _, _ in rows]
+    gram = np.stack([x.T @ x / n for (x, _, _, _), n in zip(rows, t)])
+    xty = np.stack([y @ x / n for (x, y, _, _), n in zip(rows, t)])
+    yy = np.array([y @ y / n for (_, y, _, _), n in zip(rows, t)])
+    lam = np.array([lam for _, _, lam, _ in rows])
+    mix = np.array([mix for _, _, _, mix in rows])
+    return gram, xty, yy, lam * mix, lam * (1.0 - mix)
+
+
+class TestEnetSolve:
+    # k = 10 also covers sums over 8 or more coordinates, where numpy's own
+    # reductions change order with the batch size.
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_row_result_does_not_depend_on_batch(self, k):
+        rows = solver_rows(k)
+        args = stack_rows(rows)
+        start = np.random.default_rng(3).normal(scale=0.2, size=args[1].shape)
+        start[::2] = 0.0
+        full = estimators._enet_solve(*args, start)
+        assert full[1].all()
+        perm = np.random.default_rng(4).permutation(len(rows))
+        shuffled = estimators._enet_solve(*(a[perm] for a in args), start[perm])
+        for got, want in zip(shuffled, full):
+            np.testing.assert_array_equal(got, want[perm])
+        for i in range(len(rows)):
+            alone = estimators._enet_solve(*(a[i : i + 1] for a in args), start[i : i + 1])
+            for got, want in zip(alone, full):
+                np.testing.assert_array_equal(got, want[i : i + 1])
+
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_gap_recomputed_from_residual(self, k):
+        rows = solver_rows(k)
+        args = stack_rows(rows)
+        beta, ok, gap = estimators._enet_solve(*args, np.zeros_like(args[1]))
+        assert ok.all()
+        for (x, y, lam, mix), b, yy, reported in zip(rows, beta, args[2], gap):
+            tol = estimators.DUALITY_GAP_TOL * max(1.0, yy)
+            assert reported <= tol
+            assert column_gap(x, y, b, lam, mix) <= tol
+        # The zero column's coefficient stays at zero.
+        assert not beta[:3, 2].any()
+
+    def test_singular_support_leaves_other_rows_certified(self, monkeypatch):
+        rows = solver_rows(4)
+        gram, xty, yy, l1, l2 = stack_rows(rows)
+        exact = estimators._enet_solve(gram, xty, yy, l1, l2, np.zeros_like(xty))[0]
+        # Same supports and signs as the solutions, but not the solutions:
+        # only the support step can certify these starts without a sweep.
+        start = 1.1 * exact
+        # A lasso row with two equal columns, both on its support: its
+        # support system is exactly singular.
+        dup = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+        gram = np.concatenate([gram, dup[None]])
+        xty = np.concatenate([xty, [[1.0, 1.0, 0.5, 0.0]]])
+        yy, l1, l2 = np.append(yy, 2.0), np.append(l1, 0.1), np.append(l2, 0.0)
+        start = np.concatenate([start, [[0.5, 0.5, 0.0, 0.0]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(dup[:2, :2], np.ones(2))
+        monkeypatch.setattr(estimators, "MAX_SWEEPS", 0)
+        beta, ok, gap = estimators._enet_solve(gram, xty, yy, l1, l2, start)
+        assert not ok[-1]
+        assert ok[:-1].all()
+        np.testing.assert_allclose(beta[:-1], exact, rtol=1e-9, atol=1e-12)
 
 
 class TestFitCV:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -419,6 +420,20 @@ class TestFitCounters:
         res = run(cfg)
         assert res.metadata["fits_nonconverged"] > 0
         assert res.metadata["n_records"] == 3
+
+    def test_short_paths_cross_validate_quickly(self):
+        # Three design rows for three lags: every fold trains on two rows, so
+        # each Gram matrix is singular and plain coordinate descent needs
+        # hundreds of sweeps per fit; the exact support step keeps this short.
+        cfg = tiny_cfg(
+            n_processes=3, orders=(3,), n_train=6, estimators=("lasso", "elasticNet"),
+            mc_draws=0, bucket_size=1,
+        )
+        started = time.perf_counter()
+        meta = run(cfg).metadata
+        assert time.perf_counter() - started < 2.0
+        assert meta["fits_nonconverged"] == 0
+        assert meta["n_records"] == 6
 
 
 class TestThm1NanCounter:

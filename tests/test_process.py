@@ -328,6 +328,19 @@ class TestExactAutocov:
         assert np.linalg.eigvalsh(state).min() > -1e-10 * size
         np.testing.assert_allclose(exact_autocov(model, p).dense, state, rtol=0, atol=1e-9 * size)
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_state_cov_at_repeated_near_unit_roots(self):
+        # scipy warns that the Kronecker system behind this solve is
+        # ill-conditioned (rcond ~ 1e-17); the solution itself is accurate.
+        model = _repeated_root_model(5)
+        state, comp = model.state_cov, model.companion.dense
+        noise = np.zeros_like(comp)
+        noise[0, 0] = model.noise_variance
+        resid = np.linalg.norm(state - comp @ state @ comp.T - noise) / np.linalg.norm(state)
+        assert resid <= 1e-10
+        np.testing.assert_array_equal(state, state.T)
+        assert np.linalg.eigvalsh(state).min() > 0.0
+
     def test_block_toeplitz_symmetry(self, rng):
         model = random_stable_model(rng, 3)
         dense = exact_autocov(model, 6).dense
