@@ -290,16 +290,6 @@ class BlockScheme:
             )
 
 
-def default_block_scheme(n: int) -> BlockScheme:
-    """Balanced default: ``m ~ log n``, with ``n`` shrunk to fit exactly."""
-    if n < 2:
-        raise BadInputError("need at least two observations for a block scheme")
-    m = max(1, math.ceil(math.log(n)))
-    mu = (n // (2 * m)) or 1
-    m = min(m, n // (2 * mu))
-    return BlockScheme(n=2 * mu * m, mu=mu, m=m)
-
-
 def admissible_block_scheme(
     n: int, rho: float, confidence: float, margin: float = 0.5
 ) -> BlockScheme:

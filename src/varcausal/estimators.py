@@ -13,13 +13,11 @@ Objectives (per target column, ``T`` usable rows):
     elasticNet: (1/2T) ||y - X b||^2 + lam (mix ||b||_1 + (1-mix)/2 ||b||^2)
 
 Ridge is closed form through a thin SVD of the design, which gives every
-strength at once.  Lasso and elastic net share one solver, ``_enet_solve``:
-cyclic coordinate descent with soft thresholding in covariance form (on
-``X'X/T`` and ``X'y/T``), vectorized over a batch of independent problems
-(one per target column, and in cross-validation one per fold, mix and
-target).  Each duality-gap check also tries the exact solution on the
-current support and signs, which usually ends a warm-started fit before
-its first sweep.  Cross-validation walks the strength grid from strong to
+strength at once.  Lasso and elastic net share one exact solver,
+``_enet_solve``: feature-sign search in covariance form (on ``X'X/T`` and
+``X'y/T``) over a batch of independent problems (one per target column, and
+in cross-validation one per fold, mix and target), each result certified by
+its duality gap.  Cross-validation walks the strength grid from strong to
 weak, warm-starting each batch from the last.  ``lam = 0`` reduces every
 estimator to OLS.
 """
@@ -45,10 +43,8 @@ DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 1, 20))
 DEFAULT_MIX_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 DUALITY_GAP_TOL = 1e-8
-COEF_CHANGE_TOL = 1e-10
-MAX_SWEEPS = 100_000
-#: Coordinate-descent sweeps between duality-gap evaluations.
-GAP_CHECK_SWEEPS = 5
+#: Feature-sign steps after which an uncertified lasso / elastic-net fit stops.
+MAX_STEPS = 1000
 
 #: Floor applied to residual variance so fitted models remain valid even on
 #: noiseless data.
@@ -171,75 +167,55 @@ def _enet_solve(
     l2: np.ndarray,
     beta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cyclic coordinate descent on B independent elastic-net problems at once.
+    """Feature-sign search on B independent elastic-net problems at once.
 
     Row ``b`` minimizes ``beta'G beta/2 - c'beta + l1 |beta|_1 + l2 |beta|^2/2``
-    in covariance form (Friedman, Hastie & Tibshirani 2010), so a sweep costs
-    O(k^2) per row whatever the design's row count.  ``gram`` is G, (k, k)
-    shared or (B, k, k); ``xty`` is c, (B, k); ``yy``, ``l1 > 0`` and
-    ``l2 >= 0`` are (B,); ``beta`` (B, k) is the start.  Each coordinate
-    update is vectorized over the rows.
-
-    The duality gap is checked before the first sweep, then every
-    ``GAP_CHECK_SWEEPS`` sweeps and at ``MAX_SWEEPS``.  Each check also tries
-    the exact support step of feature-sign search (Lee, Battle, Raina & Ng
-    2007): solve ``(G_SS + l2 I) beta_S = c_S - l1 sign(beta_S)`` on the
-    current support and signs, and keep it where its own gap passes.  A row's
-    result is final at its first check with a gap within
-    ``DUALITY_GAP_TOL * max(1, yy)``, or after a sweep that moved none of its
-    coefficients by ``COEF_CHANGE_TOL``.  Checks act only on the rows due for
-    one, so no row's result depends on which rows share its batch.
-
-    Returns ``(beta, converged, gap)`` of shapes (B, k), (B,), (B,).
+    in covariance form.  ``gram`` is G, (k, k) shared or (B, k, k); ``xty``
+    is c, (B, k); ``yy``, ``l1 > 0``, ``l2 >= 0`` are (B,); ``beta`` (B, k)
+    is the start.  Feature-sign search (Lee, Battle, Raina & Ng 2007, Alg. 1)
+    steps each row toward the solution on its support and signs.  At that
+    solution (after a full step) a row is done once its duality gap is within
+    ``DUALITY_GAP_TOL * max(1, yy)`` or no zero coefficient's gradient exceeds
+    ``l1``; else the most violating one joins the support (from zero, before
+    any step).  Steps lower the objective, so the search ends; ``MAX_STEPS``
+    caps it.  Converged iff the gap is within tolerance; any batch gives a
+    row the same result.  Returns ``(beta, converged, gap)``, (B, k), (B,), (B,).
     """
     n, k = xty.shape
-    beta_out, ok_out, gap_out = np.empty((k, n)), np.zeros(n, dtype=bool), np.empty(n)
-    # Coordinate-major: index [j] is coordinate j across the rows, and a shared
-    # Gram matrix broadcasts as a single row.  Rows whose result is final keep
-    # sweeping with the rest; only their output is frozen.
-    g = (gram if gram.ndim == 3 else gram[None]).transpose(1, 2, 0)
+    # Coordinate-major: index [j] is coordinate j across the rows.
+    g = np.broadcast_to(gram, (n, k, k)).transpose(1, 2, 0)
     c, b = xty.T, beta.T.copy()
-    lo, tol = -l1, DUALITY_GAP_TOL * np.maximum(1.0, yy)
-    diag = np.diagonal(g).T
-    ridge_diag = diag + l2
-    # A zero column carries no signal; dividing by inf pins its coefficient at 0.
-    denom = np.where(diag != 0.0, ridge_diag, np.inf)
-    grad = c - _rowsum(g * b[:, None])
-    coords = list(zip(g, diag, denom, b, grad))
-    start = np.empty_like(b)
-    active = np.ones(n, dtype=bool)
-    stalled = np.zeros(n, dtype=bool)
-    sweep = 0
+    tol = DUALITY_GAP_TOL * np.maximum(1.0, yy)
+    eps = k * np.finfo(float).eps
+    # By interlacing a support system can be singular only where G + l2 I is,
+    # which needs l2 below numpy's rank tolerance.
+    singular = l2 <= np.trace(gram, axis1=-2, axis2=-1) * eps
+    if singular.any():
+        eig = np.atleast_2d(np.linalg.eigvalsh(gram)) + l2[:, None]
+        singular &= eig[:, 0] <= eig[:, -1] * eps
+    # A zero start's gradient is c: it takes its first coefficient unchecked.
+    grad, excess = c, np.abs(c) - l1
+    add = ~b.any(axis=0) & (excess.max(axis=0) > 0.0)
+    done = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            capped = sweep >= MAX_SWEEPS
-            if capped or sweep % GAP_CHECK_SWEEPS == 0 or stalled.any():
-                due = stalled | (active & (capped or sweep % GAP_CHECK_SWEEPS == 0))
-                trial = _support_step(g, c, yy, l1, ridge_diag, b)
-                trial_grad = c - _rowsum(g * trial[:, None])
-                gap = _gap(c, yy, l1, l2, trial, trial_grad)
-                take = due & (gap <= tol)
-                np.copyto(b, trial, where=take)
-                np.copyto(grad, trial_grad, where=take)
-                if (take != due).any():
-                    gap = _gap(c, yy, l1, l2, b, grad)
-                ok = stalled | (gap <= tol)
-                leave = due if capped else due & ok
-                np.copyto(beta_out, b, where=leave)
-                np.copyto(ok_out, ok, where=leave)
-                np.copyto(gap_out, gap, where=leave)
-                active &= ~leave
-                if not active.any():
-                    return beta_out.T, ok_out, gap_out
-            np.copyto(start, b)
-            for g_j, diag_j, denom_j, b_j, grad_j in coords:
-                z = grad_j + diag_j * b_j
-                new = (z - np.minimum(np.maximum(z, lo), l1)) / denom_j
-                # The Gram matrix is symmetric: column j is row j.
-                grad -= g_j * (new - b_j)
-                b_j[...] = new
-            stalled = active & (np.maximum.reduce(np.abs(b - start)) < COEF_CHANGE_TOL)
-            sweep += 1
+        for step in range(MAX_STEPS + 1):
+            s = np.sign(b)
+            if add.any():
+                new = excess[:, add].argmax(axis=0)
+                s[new, add] = np.sign(grad[new, add])
+            # At the cap no row steps and every row's result is final.
+            settled = step == MAX_STEPS
+            if not settled:
+                stepped, settled = _feature_sign_step(g, c, l1, l2, s, b, singular, eps)
+                # A done row stays where it is, so its gap stays what it was.
+                b, settled = np.where(done, b, stepped), done | settled
+            grad = c - _rowsum(g * b[:, None])
+            gap = _gap(c, yy, l1, l2, b, grad)
+            excess = np.where(b == 0.0, np.abs(grad) - l1, 0.0)
+            add = settled & (gap > tol) & (excess.max(axis=0) > 0.0) & (step < MAX_STEPS)
+            done = settled & ~add
+            if done.all():
+                return b.T, gap <= tol, gap
 
 
 def _rowsum(v: np.ndarray) -> np.ndarray:
@@ -268,37 +244,60 @@ def _gap(
     return 0.5 * r_sq + l1 * l1_norm - scale * ((yy - b_xty) - 0.5 * scale * r_sq)
 
 
-def _support_step(
-    g: np.ndarray, c: np.ndarray, yy: np.ndarray, l1: np.ndarray, ridge_diag: np.ndarray,
-    b: np.ndarray,
-) -> np.ndarray:
-    """Solve each row's stationarity equations on its current support and signs.
+def _feature_sign_step(
+    g: np.ndarray, c: np.ndarray, l1: np.ndarray, l2: np.ndarray, s: np.ndarray, b: np.ndarray,
+    singular: np.ndarray, eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step each row from ``b`` toward its solution on the support and signs ``s``.
 
-    Off the support the system is the identity with a zero right-hand side,
-    so every row solves a k x k system.  A row gets NaN, which no gap check
-    accepts, where its system is singular or where the solution cannot be a
-    minimizer: a minimizer costs no more than zero, so ``l1 |beta|_1 <=
-    yy / 2``.  A numerically singular system (fewer rows than columns, or
-    collinear columns) breaks that bound by many orders of magnitude, while
-    its gap, computed from the same moments, may still look certified.
+    The target solves ``(G_SS + l2 I) beta_S = c_S - l1 s_S``.  A ``singular``
+    row's system may be singular (short folds, collinear columns): it is
+    solved by eigendecomposition with numpy's rank tolerance ``eps``.  As
+    ``c = X'y/T``, the right-hand side's weight on a null vector ``v`` of
+    ``G_SS`` is ``-l1 s'v``; where it has weight the row steps along that
+    null component, keeping the fit and lowering ``|beta|_1`` (Efron, Hastie,
+    Johnstone & Tibshirani 2004), else toward the minimum-norm solution plus
+    the null component of ``b``.  A step that turns a sign, and any null
+    step, stops at the sign-change point or target of lowest objective, where
+    the coefficient reaching zero leaves the support.  Returns the new
+    coefficients and which rows reached their target.
     """
-    on = b != 0.0
-    a = np.multiply(g, on[:, None] & on, out=np.empty((len(b), *b.shape)))
-    a.reshape(-1, b.shape[1])[:: len(b) + 1] = np.where(on, ridge_diag, 1.0)
-    rhs = np.where(on, c - l1 * np.sign(b), 0.0).T[:, :, None]
+    k, n = b.shape
+    on = s != 0.0
+    # Off the support: a zero right-hand side and a multiple of the identity,
+    # scaled so that numpy's rank tolerance reads the support block's rank.
+    diag = np.diagonal(g).T + l2
+    a = np.multiply(g, on[:, None] & on, out=np.empty((k, k, n)))
+    a.reshape(-1, n)[:: k + 1] = np.where(on, diag, np.maximum.reduce(diag))
     a = a.transpose(2, 0, 1)
-    try:
-        sol = np.linalg.solve(a, rhs)[:, :, 0].T
-    except np.linalg.LinAlgError:
-        # One singular system fails the whole stack: solve row by row.
-        sol = np.full(rhs.shape[:2], np.nan)
-        for i in range(len(a)):
-            try:
-                sol[i] = np.linalg.solve(a[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        sol = sol.T
-    return np.where(l1 * _rowsum(np.abs(sol)) <= 0.5 * yy, sol, np.nan)
+    rhs = np.where(on, c - l1 * s, 0.0)
+    # Singular rows solve the identity here and their own system below.
+    sol = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), a), rhs.T[:, :, None])
+    d, end = sol[..., 0].T - b, np.ones(n)
+    if singular.any():
+        w, v = np.linalg.eigh(a[singular])
+        w, v = w.T, v.transpose(1, 2, 0)  # v[j, i]: coordinate j of eigenvector i
+        null = w <= np.maximum.reduce(w) * eps
+        vs, vr, vb = (_rowsum(v * u[:, None, singular]) for u in (s, rhs, b))
+        # A null step goes along -P s (P projects on the null space).
+        lift = _rowsum(np.where(null, vs * vs, 0.0)) > eps * eps
+        coef = np.where(null, -vs * lift, (vr / w - vb) * ~lift)
+        d[:, singular] = np.where(on[:, singular], _rowsum(v.swapaxes(0, 1) * coef[:, None]), 0.0)
+        end[singular] = np.where(lift, np.inf, 1.0)
+    # Where each coefficient reaches zero, if its sign turns before the end.
+    cross = np.where(s * (b + d * end) < 0.0, -b / d, np.inf)
+    turned = (cross < np.inf).any(axis=0)
+    if not turned.any():
+        return b + d, ~turned
+    # Discrete line search: the objective at b + t d, less a constant per row.
+    cand = np.concatenate((cross, end[None]))
+    slope = _rowsum((c - _rowsum(g * b[:, None]) - l2 * b) * d)
+    curve = _rowsum(d * (_rowsum(g * d[:, None]) + l2 * d))
+    l1_norm = _rowsum(np.abs(b[:, None] + cand * d[:, None]))
+    obj = cand * (0.5 * curve * cand - slope) + l1 * l1_norm
+    obj[cand == np.inf] = np.inf
+    t = np.where(turned, np.take_along_axis(cand, obj.argmin(axis=0)[None], 0)[0], 1.0)
+    return np.where(cross == t, 0.0, b + t * d), ~turned
 
 
 def fit_regularized(
@@ -394,7 +393,7 @@ def fit_cv(
     if design.t_rows < folds:
         raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
     parts = _fold_slices(design.t_rows, folds, shuffle, seed)
-    # Strong to weak, so each coordinate-descent batch warm-starts the next.
+    # Strong to weak, so each lasso / elastic-net batch warm-starts the next.
     lams = sorted(set(lam_grid), reverse=True)
     mixes = sorted(set(mixes))
     err = np.zeros((len(mixes), len(lams)))
@@ -434,8 +433,8 @@ def _path_coefs(design: LaggedDesign, parts: list, lams: list, mixes: list) -> n
     Weight 0 is ridge, every strength from one SVD per fold.  Strength 0 is
     minimum-norm least squares.  Every other cell is one row of a single
     ``_enet_solve`` batch per strength: all (fold, weight, target) rows walk
-    the strengths from strong to weak together, each row warm-started from
-    its solution at the previous strength.
+    the strengths from strong to weak together, each row's feature-sign
+    search starting from its solution at the previous strength.
     """
     k, d = design.x.shape[1], design.d
     out = np.empty((len(parts), len(mixes), len(lams), k, d))

@@ -13,7 +13,6 @@ from varcausal.bounds import (
     autocorrelation,
     condition_number,
     cor2_bound,
-    default_block_scheme,
     default_schur_prefactor,
     lag_window_blocks,
     prop1_bound,
@@ -228,11 +227,6 @@ class TestBlockScheme:
         with pytest.raises(BadInputError):
             BlockScheme(n=10, mu=2, m=3)
         BlockScheme(n=12, mu=2, m=3)
-
-    def test_default_scheme_shape(self):
-        scheme = default_block_scheme(100)
-        assert 2 * scheme.mu * scheme.m == scheme.n <= 100
-        assert scheme.m == math.ceil(math.log(100))
 
     def test_admissible_scheme_respects_budget(self):
         for rho in (0.3, 0.9, 0.999):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from varcausal import estimators
 from varcausal.errors import BadInputError
@@ -214,10 +216,9 @@ class TestFitRegularized:
             assert fit.duality_gap == pytest.approx(gap, rel=1e-3, abs=1e-14 * y_scale)
 
     def test_sweep_cap_reports_nonconvergence(self, rng, monkeypatch):
-        # With no sweeps allowed only the check at the (zero) start runs, and
-        # its support step cannot move an empty support.
+        # With no steps allowed only the check at the (zero) start runs.
         design = build_design(simulate(random_stable_model(rng, 4), 300, 9), 4)
-        monkeypatch.setattr(estimators, "MAX_SWEEPS", 0)
+        monkeypatch.setattr(estimators, "MAX_STEPS", 0)
         fit = fit_regularized(design, "lasso", 0.01)
         assert not fit.converged
         assert not fit.coef_matrix.any()
@@ -298,7 +299,58 @@ def stack_rows(rows):
     return gram, xty, yy, lam * mix, lam * (1.0 - mix)
 
 
+@st.composite
+def enet_problems(draw):
+    """One to four elastic-net problems sharing a column count: designs of 2
+    to 29 rows for 1 to 12 columns (so often T < k), some with a zero or a
+    duplicated column, one or two targets, lasso or elastic net, strengths
+    from 1e-4 to 10.  Returns ``(x, y, lam, mix)`` per target and a
+    shuffled order of those rows."""
+    k = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        t_rows = draw(st.integers(2, 29))
+        x = rng.standard_normal((t_rows, k)) * rng.uniform(0.1, 3.0, k)
+        zero, dup = draw(st.integers(0, k - 1)), draw(st.lists(st.integers(0, k - 1), max_size=2))
+        if draw(st.booleans()):
+            x[:, zero] = 0.0
+        if len(dup) == 2:
+            x[:, dup[1]] = x[:, dup[0]]
+        coef = rng.standard_normal(k) * (rng.random(k) < 0.5)
+        y = x @ coef + rng.uniform(0.05, 1.0) * rng.standard_normal(t_rows)
+        lam = 10.0 ** draw(st.floats(-4.0, 1.0))
+        mix = draw(st.sampled_from([1.0, 0.1, 0.5, 0.9]))
+        for target in (y, 2.0 * y[::-1] - x[:, 0])[: draw(st.integers(1, 2))]:
+            rows.append((x, target, lam, mix))
+    return rows, draw(st.permutations(range(len(rows))))
+
+
 class TestEnetSolve:
+    @given(problems=enet_problems())
+    def test_random_problems(self, problems):
+        rows, perm = problems
+        args = stack_rows(rows)
+        start = np.zeros_like(args[1])
+        beta, ok, gap = estimators._enet_solve(*args, start)
+        tol = estimators.DUALITY_GAP_TOL * np.maximum(1.0, args[2])
+        # Every row converged, and converged means certified.
+        assert ok.all() and (gap <= tol).all()
+        for (x, y, lam, mix), b, yy, row_tol in zip(rows, beta, args[2], tol):
+            assert column_gap(x, y, b, lam, mix) <= row_tol
+            # No worse than the zero start, up to rounding in the objective.
+            resid = y - x @ b
+            penalty = lam * (mix * np.abs(b).sum() + 0.5 * (1.0 - mix) * (b @ b))
+            assert 0.5 * (resid @ resid) / len(y) + penalty <= 0.5 * yy * (1.0 + 1e-12)
+            assert not b[~x.any(axis=0)].any()
+        shuffled = estimators._enet_solve(*(a[perm] for a in args), start[perm])
+        for got, want in zip(shuffled, (beta, ok, gap)):
+            np.testing.assert_array_equal(got, want[perm])
+        for i in range(len(rows)):
+            alone = estimators._enet_solve(*(a[i : i + 1] for a in args), start[i : i + 1])
+            for got, want in zip(alone, (beta, ok, gap)):
+                np.testing.assert_array_equal(got, want[i : i + 1])
+
     # k = 10 also covers sums over 8 or more coordinates, where numpy's own
     # reductions change order with the batch size.
     @pytest.mark.parametrize("k", [4, 10])
@@ -331,12 +383,11 @@ class TestEnetSolve:
         # The zero column's coefficient stays at zero.
         assert not beta[:3, 2].any()
 
-    def test_singular_support_leaves_other_rows_certified(self, monkeypatch):
+    def test_singular_support_leaves_other_rows_certified(self):
         rows = solver_rows(4)
         gram, xty, yy, l1, l2 = stack_rows(rows)
         exact = estimators._enet_solve(gram, xty, yy, l1, l2, np.zeros_like(xty))[0]
-        # Same supports and signs as the solutions, but not the solutions:
-        # only the support step can certify these starts without a sweep.
+        # Same supports and signs as the solutions, but not the solutions.
         start = 1.1 * exact
         # A lasso row with two equal columns, both on its support: its
         # support system is exactly singular.
@@ -347,10 +398,8 @@ class TestEnetSolve:
         start = np.concatenate([start, [[0.5, 0.5, 0.0, 0.0]]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(dup[:2, :2], np.ones(2))
-        monkeypatch.setattr(estimators, "MAX_SWEEPS", 0)
         beta, ok, gap = estimators._enet_solve(gram, xty, yy, l1, l2, start)
-        assert not ok[-1]
-        assert ok[:-1].all()
+        assert ok.all()
         np.testing.assert_allclose(beta[:-1], exact, rtol=1e-9, atol=1e-12)
 
 
@@ -419,7 +468,6 @@ class TestFitCV:
         # Solved to the last bits, warm starts and per-cell fits agree
         # closely, so only the path's bookkeeping is compared.
         monkeypatch.setattr(estimators, "DUALITY_GAP_TOL", 0.0)
-        monkeypatch.setattr(estimators, "COEF_CHANGE_TOL", 1e-14)
         for name, path, p in oracle_paths():
             cv = fit_cv(path, p, estimator, lam_grid=ORACLE_LAMS, mix_grid=ORACLE_MIXES)
             score, lam, mix = per_cell_cv(path, p, estimator, ORACLE_LAMS, ORACLE_MIXES)

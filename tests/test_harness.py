@@ -412,23 +412,47 @@ class TestFitCounters:
         assert meta["fits_nonconverged"] == 0
 
     def test_sweep_cap_is_counted(self, monkeypatch):
-        from varcausal import estimators
+        from varcausal import estimators, harness
 
         cfg = tiny_cfg(n_processes=3, orders=(3,), estimators=("lasso",), mc_draws=0)
         assert run(cfg).metadata["fits_nonconverged"] == 0
-        monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
-        res = run(cfg)
-        assert res.metadata["fits_nonconverged"] > 0
-        assert res.metadata["n_records"] == 3
+        fits = []
 
-    def test_short_paths_cross_validate_quickly(self):
-        # Three design rows for three lags: every fold trains on two rows, so
-        # each Gram matrix is singular and plain coordinate descent needs
-        # hundreds of sweeps per fit; the exact support step keeps this short.
-        cfg = tiny_cfg(
-            n_processes=3, orders=(3,), n_train=6, estimators=("lasso", "elasticNet"),
-            mc_draws=0, bucket_size=1,
-        )
+        def kept(path, p, estimator, **kw):
+            fit = estimators.fit_cv(path, p, estimator, **kw)
+            fits.append((estimators.build_design(path, p), fit))
+            return fit
+
+        # A cap of 0 would leave every fold fit at zero: all strengths would
+        # tie, and the largest, where zero is exact, would win.
+        monkeypatch.setattr(estimators, "MAX_STEPS", 1)
+        monkeypatch.setattr(harness, "fit_cv", kept)
+        res = run(cfg)
+        assert res.metadata["fits_nonconverged"] == sum(not f.converged for _, f in fits) > 0
+        assert res.metadata["n_records"] == 3
+        # Counted means uncertified: the reported gap is above tolerance.
+        for design, fit in fits:
+            tol = estimators.DUALITY_GAP_TOL * max(1.0, float((design.y**2).mean()))
+            assert fit.converged == (fit.duality_gap <= tol)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            # Three design rows for three lags: every fold trains on two rows,
+            # so each Gram matrix is singular.
+            dict(orders=(3,), n_train=6, estimators=("lasso", "elasticNet")),
+            # Size 12 leaves 7 design rows for 5 lags: folds train on 5 or 6
+            # rows, so each Gram matrix is barely determined; at the config
+            # default seed one has condition number about 1e6.
+            dict(
+                mode="sampleSweep", orders=(5,), sweep_train_sizes=(12, 100),
+                estimators=("lasso",), master_seed=0,
+            ),
+        ],
+        ids=["standard", "sampleSweep"],
+    )
+    def test_short_paths_cross_validate_quickly(self, kw):
+        cfg = tiny_cfg(n_processes=3, mc_draws=0, bucket_size=1, **kw)
         started = time.perf_counter()
         meta = run(cfg).metadata
         assert time.perf_counter() - started < 2.0
