@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .companion import _real_part, complete_homogeneous, elementary_symmetric, matrix_power
+from .companion import _real_part, complete_homogeneous, elementary_symmetric
 from .errors import BadInputError, NumericalError
 from .interventions import InterventionSpec
 from .process import AutocovMatrix, SamplePath, VarModel
@@ -35,6 +35,7 @@ from .risk import (
     risk_difference,
     stat_risk,
     _lag_matrix,
+    _squared_errors,
 )
 from .seeding import as_rng
 
@@ -376,15 +377,7 @@ def default_truncation(
     fitted: VarModel, path: SamplePath, omega: int, quantile: float = 0.999
 ) -> float:
     """Truncation level: high quantile of the observed squared errors."""
-    x = path.values
-    p = fitted.p
-    weights = matrix_power(fitted.companion, omega)[: fitted.d]
-    lagged = _lag_matrix(x, p)
-    count = x.shape[0] - omega - p + 1
-    if count < 1:
-        raise BadInputError("path too short to calibrate the truncation level")
-    errs = x[p - 1 + omega :] - lagged[:count] @ weights.T
-    sq = (errs**2).sum(axis=1)
+    sq = _squared_errors(fitted, path, omega)
     return float(max(np.quantile(sq, quantile), 1e-12))
 
 

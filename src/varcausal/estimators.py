@@ -166,6 +166,7 @@ def _enet_solve(
     l1: np.ndarray,
     l2: np.ndarray,
     beta: np.ndarray,
+    eig: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature-sign search on B independent elastic-net problems at once.
 
@@ -179,7 +180,10 @@ def _enet_solve(
     ``l1``; else the most violating one joins the support (from zero, before
     any step).  Steps lower the objective, so the search ends; ``MAX_STEPS``
     caps it.  Converged iff the gap is within tolerance; any batch gives a
-    row the same result.  Returns ``(beta, converged, gap)``, (B, k), (B,), (B,).
+    row the same result.  ``eig`` holds the ascending eigenvalues of ``gram``,
+    (k,) or (B, k), for callers that solve one Gram matrix at many strengths;
+    they are computed here when needed otherwise.  Returns
+    ``(beta, converged, gap)``, (B, k), (B,), (B,).
     """
     n, k = xty.shape
     # Coordinate-major: index [j] is coordinate j across the rows.
@@ -191,8 +195,10 @@ def _enet_solve(
     # which needs l2 below numpy's rank tolerance.
     singular = l2 <= np.trace(gram, axis1=-2, axis2=-1) * eps
     if singular.any():
-        eig = np.atleast_2d(np.linalg.eigvalsh(gram)) + l2[:, None]
-        singular &= eig[:, 0] <= eig[:, -1] * eps
+        if eig is None:
+            eig = np.linalg.eigvalsh(gram)
+        shifted = np.atleast_2d(eig) + l2[:, None]
+        singular &= shifted[:, 0] <= shifted[:, -1] * eps
     # A zero start's gradient is c: it takes its first coefficient unchecked.
     grad, excess = c, np.abs(c) - l1
     add = ~b.any(axis=0) & (excess.max(axis=0) > 0.0)
@@ -455,7 +461,10 @@ def _path_coefs(design: LaggedDesign, parts: list, lams: list, mixes: list) -> n
         return out
     # Rows ordered (fold, weight, target).
     per_fold = l1_mix.size * d
-    gram = np.repeat(np.stack([m[0] for m in moments]), per_fold, axis=0)
+    fold_grams = np.stack([m[0] for m in moments])
+    gram = np.repeat(fold_grams, per_fold, axis=0)
+    # Every strength solves the same Gram matrices: one rank test's spectrum.
+    eig = np.repeat(np.linalg.eigvalsh(fold_grams), per_fold, axis=0)
     xty = np.concatenate([np.tile(m[1], (l1_mix.size, 1)) for m in moments])
     yy = np.concatenate([np.tile(m[2], l1_mix.size) for m in moments])
     mix = np.tile(np.repeat(l1_mix, d), len(parts))
@@ -465,6 +474,6 @@ def _path_coefs(design: LaggedDesign, parts: list, lams: list, mixes: list) -> n
         l1 = lam * mix
         # While every |X'y/T| <= l1, zero is each row's exact solution.
         if (reach > l1).any():
-            beta = _enet_solve(gram, xty, yy, l1, lam * (1.0 - mix), beta)[0]
+            beta = _enet_solve(gram, xty, yy, l1, lam * (1.0 - mix), beta, eig)[0]
         out[:, -l1_mix.size :, l] = beta.reshape(len(parts), l1_mix.size, d, k).swapaxes(2, 3)
     return out

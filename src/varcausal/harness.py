@@ -1,27 +1,31 @@
 """End-to-end simulation study: sample, fit, score, bound, bucket, export.
 
-Four modes share one per-process pipeline (sample a stable process, simulate
-train/test paths, fit, compute risks and bounds):
+One loop, :func:`run`, serves four modes.  Each process samples a stable
+truth and a test path; per training size it simulates a training path, fits
+every estimator, and scores each fit's risks and bounds.  The modes differ
+only in data:
 
-* ``standard``     - matched or explicitly misspecified orders, one record
-                     per (process, estimator),
+* ``standard``     - matched orders plus any explicitly misspecified
+                     ``order_pairs``; one record per (process, estimator),
+                     bucketed by condition number,
 * ``sampleSweep``  - the same study across training sizes, summarized by
-                     distribution quantiles of |G - S|,
+                     distribution quantiles of |G - S| per size,
 * ``omegaSweep``   - matched processes scored at several horizons under two
                      intervention regimes (most recent step only / every
-                     window step),
+                     window step), bucketed per (horizon, regime),
 * ``confounded``   - a bivariate process observed through one coordinate,
                      fit as a scalar model; bounds are evaluated with
                      empirical inputs and violations are counted, not hidden.
 
 Everything is a pure function of the config (including the master seed).
-Each mode is one serial loop over process ids; every process draws from its
-own generators, derived by counter-based splitting from the master seed and
-the process id, so its records depend on nothing else.
+Every process draws from its own generators, derived by counter-based
+splitting from the master seed and the process id, so its records depend on
+nothing else.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -137,9 +141,17 @@ class ExperimentConfig:
             raise ConfigError("max_tries must be positive")
         if self.bucket_size < 1:
             raise ConfigError("bucket_size must be positive")
+        if not self.estimators:
+            raise ConfigError("estimators must be non-empty")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}")
+        # Only the standard study fits several estimators and misspecified
+        # order pairs; elsewhere they would be echoed in the metadata unused.
+        if self.mode != "standard" and len(self.estimators) > 1:
+            raise ConfigError(f"{self.mode} mode fits one estimator, got {len(self.estimators)}")
+        if self.mode != "standard" and self.order_pairs:
+            raise ConfigError("order_pairs apply to standard mode only")
         if self.omega < 1 or any(w < 1 for w in self.sweep_omegas):
             raise ConfigError("omega values must be positive")
         if self.mc_draws < 0:
@@ -254,33 +266,8 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-process pipeline
+# Fitting and scoring one process
 # ---------------------------------------------------------------------------
-
-
-def _sample_truth_and_test(cfg: ExperimentConfig, pid: int, q_true: int, d: int = 1):
-    """The process's stable truth and its test path; neither depends on n_train."""
-    truth = rejection_sample_stable(
-        q_true,
-        d,
-        cfg.coeff_lo,
-        cfg.coeff_hi,
-        derive_rng(cfg.master_seed, pid, seeding.STAGE_TRUTH),
-        max_tries=cfg.max_tries,
-        noise_variance=cfg.noise_variance,
-    )
-    test = simulate(
-        truth, cfg.n_test, derive_rng(cfg.master_seed, pid, seeding.STAGE_TEST),
-        init="stationary",
-    )
-    return truth, test
-
-
-def _train_path(cfg: ExperimentConfig, pid: int, truth: VarModel, n_train: int) -> SamplePath:
-    return simulate(
-        truth, n_train, derive_rng(cfg.master_seed, pid, seeding.STAGE_TRAIN),
-        init="stationary",
-    )
 
 
 def _fit(
@@ -340,7 +327,7 @@ def _standard_record(
     test: SamplePath,
     fit: FitResult,
     counts: dict,
-    regime: str = "single",
+    regime: str,
 ) -> ExperimentRecord:
     """One record of ``fit`` against the truth; ``pair`` is (truth, fit.model),
     shared by every record of the process so its risks are computed once."""
@@ -394,75 +381,113 @@ def _standard_record(
 
 
 # ---------------------------------------------------------------------------
-# Modes
+# The study loop
 # ---------------------------------------------------------------------------
 
 
-def run_standard(cfg: ExperimentConfig) -> RunResult:
-    """Matched-order study (plus any explicitly misspecified pairs)."""
-    started = time.monotonic()
-    pairs = [(q, q) for q in cfg.orders] + [
-        (int(p_fit), int(q_true)) for (p_fit, q_true) in cfg.order_pairs
-    ]
-    records = []
-    skipped = 0
-    counts = dict.fromkeys(RUN_COUNTERS, 0)
-    for block, (p_fit, q_true) in enumerate(pairs):
-        for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
-            try:
-                truth, test = _sample_truth_and_test(cfg, pid, q_true)
-                train = _train_path(cfg, pid, truth, cfg.n_train)
-            except NumericalError:
-                skipped += 1
-                continue
-            for estimator in cfg.estimators:
-                fit = _fit(cfg, train, p_fit, estimator, counts)
-                pair = ModelPair(truth=truth, fitted=fit.model)
-                records.append(
-                    _standard_record(cfg, pid, cfg.omega, pair, train, test, fit, counts)
-                )
-    records.sort(key=lambda r: (r.process_id, r.estimator))
-    summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
-    meta = _metadata(cfg, records, skipped, dropped, counts)
-    _log_timing("standard", started)
-    return RunResult(records=records, summaries={"standard": summaries}, metadata=meta)
+def run(cfg: ExperimentConfig) -> RunResult:
+    """Run the study of ``cfg.mode``.
 
-
-def run_sample_sweep(cfg: ExperimentConfig) -> RunResult:
-    """|G - S| distribution across training sizes (matched processes)."""
+    Block ``b`` of :func:`_blocks` holds process ids ``b * n_processes`` to
+    ``(b + 1) * n_processes - 1``.  Each process draws one truth and one test
+    path, then, per training size, one training path that every estimator
+    fits; each fit is scored in every (omega, regime) cell of
+    :func:`_cells`.  A (process, size) unit whose sampling, fit or scoring
+    raises ``NumericalError`` has no records and counts once in ``skipped``.
+    """
     started = time.monotonic()
-    estimator = cfg.estimators[0]
-    sizes = [int(n) for n in cfg.sweep_train_sizes]
-    # One record list per size, each filled in process-id order.  Every
-    # (process, size) unit without a record counts once in ``skipped``.
+    sizes = [int(n) for n in cfg.sweep_train_sizes] if cfg.mode == "sampleSweep" else [cfg.n_train]
     per_size: list[list[ExperimentRecord]] = [[] for _ in sizes]
     skipped = 0
     counts = dict.fromkeys(RUN_COUNTERS, 0)
-    for block, q in enumerate(cfg.orders):
+    for block, (p_fit, q_true, d) in enumerate(_blocks(cfg)):
         for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
+            stage_rng = functools.partial(derive_rng, cfg.master_seed, pid)
             try:
-                truth, test = _sample_truth_and_test(cfg, pid, q)
+                truth = rejection_sample_stable(
+                    q_true, d, cfg.coeff_lo, cfg.coeff_hi, stage_rng(seeding.STAGE_TRUTH),
+                    max_tries=cfg.max_tries, noise_variance=cfg.noise_variance,
+                )
+                test = simulate(
+                    truth, cfg.n_test, stage_rng(seeding.STAGE_TEST), init="stationary"
+                )
             except NumericalError:
                 skipped += len(sizes)
                 continue
             for n_train, recs in zip(sizes, per_size):
                 try:
-                    train = _train_path(cfg, pid, truth, n_train)
-                    fit = _fit(cfg, train, q, estimator, counts)
-                    pair = ModelPair(truth=truth, fitted=fit.model)
-                    recs.append(
-                        _standard_record(cfg, pid, cfg.omega, pair, train, test, fit, counts)
+                    train = simulate(
+                        truth, n_train, stage_rng(seeding.STAGE_TRAIN), init="stationary"
                     )
+                    recs.extend(_unit_records(cfg, pid, p_fit, truth, train, test, counts))
                 except NumericalError:
                     skipped += 1
+    for recs in per_size:
+        recs.sort(key=lambda r: (r.process_id, r.estimator, r.omega, r.regime))
+    records = [rec for recs in per_size for rec in recs]
+    summaries, dropped = _summarize(cfg, sizes, per_size)
+    meta = _metadata(cfg, records, skipped, dropped, counts)
+    # Wall time goes to stderr, not into the metadata: outputs must be
+    # byte-identical across reruns of the same config and seed.
+    elapsed = time.monotonic() - started
+    print(f"[varcausal] {cfg.mode} run finished in {elapsed:.1f}s", file=sys.stderr)
+    return RunResult(records=records, summaries=summaries, metadata=meta)
 
-    all_records = [rec for recs in per_size for rec in recs]
-    summaries = {
-        f"n{n_train}": [_sweep_summary(n_train, recs)] for n_train, recs in zip(sizes, per_size)
-    }
-    meta = _metadata(cfg, all_records, skipped, 0, counts)
-    _log_timing("sampleSweep", started)
-    return RunResult(records=all_records, summaries=summaries, metadata=meta)
+
+def _blocks(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """(fit order, true order, dimension) of each block of processes."""
+    if cfg.mode == "confounded":
+        # A bivariate first-order truth, observed through one coordinate.
+        return [(cfg.orders[0], 1, 2)]
+    return [(q, q, 1) for q in cfg.orders] + [(int(p), int(q), 1) for p, q in cfg.order_pairs]
+
+
+def _cells(cfg: ExperimentConfig) -> list[tuple[int, str]]:
+    """The (omega, regime) cells every fit is scored in."""
+    if cfg.mode == "omegaSweep":
+        return [(omega, regime) for omega in cfg.sweep_omegas for regime in ("single", "all")]
+    return [(cfg.omega, "single")]
+
+
+def _unit_records(
+    cfg: ExperimentConfig,
+    pid: int,
+    p_fit: int,
+    truth: VarModel,
+    train: SamplePath,
+    test: SamplePath,
+    counts: dict,
+) -> list[ExperimentRecord]:
+    """Every record of one (process, training size) unit."""
+    if cfg.mode == "confounded":
+        return [_confounded_record(cfg, pid, p_fit, truth, train, test, counts)]
+    records = []
+    for estimator in cfg.estimators:
+        fit = _fit(cfg, train, p_fit, estimator, counts)
+        pair = ModelPair(truth=truth, fitted=fit.model)
+        for omega, regime in _cells(cfg):
+            records.append(
+                _standard_record(cfg, pid, omega, pair, train, test, fit, counts, regime)
+            )
+    return records
+
+
+def _summarize(cfg: ExperimentConfig, sizes, per_size) -> tuple[dict, int]:
+    """Summaries by output name, and the records dropped from partial buckets."""
+    if cfg.mode == "sampleSweep":
+        return {f"n{n}": [_sweep_summary(n, recs)] for n, recs in zip(sizes, per_size)}, 0
+    (records,) = per_size
+    groups = [(cfg.mode, records)]
+    if cfg.mode == "omegaSweep":
+        groups = [
+            (f"omega{w}_{regime}", [r for r in records if (r.omega, r.regime) == (w, regime)])
+            for w, regime in _cells(cfg)
+        ]
+    summaries, dropped = {}, 0
+    for name, group in groups:
+        summaries[name], tail = bucket_by_kappa(group, cfg.bucket_size)
+        dropped += tail
+    return summaries, dropped
 
 
 def _sweep_summary(n_train: int, records) -> SweepSummary:
@@ -481,79 +506,24 @@ def _sweep_summary(n_train: int, records) -> SweepSummary:
     )
 
 
-def run_omega_sweep(cfg: ExperimentConfig) -> RunResult:
-    """Horizon sweep on matched processes under two intervention regimes."""
-    started = time.monotonic()
-    estimator = cfg.estimators[0]
-    records = []
-    skipped = 0
-    counts = dict.fromkeys(RUN_COUNTERS, 0)
-    for block, q in enumerate(cfg.orders):
-        for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
-            try:
-                truth, test = _sample_truth_and_test(cfg, pid, q)
-                train = _train_path(cfg, pid, truth, cfg.n_train)
-            except NumericalError:
-                skipped += 1
-                continue
-            fit = _fit(cfg, train, q, estimator, counts)
-            pair = ModelPair(truth=truth, fitted=fit.model)
-            for omega in cfg.sweep_omegas:
-                for regime in ("single", "all"):
-                    records.append(
-                        _standard_record(cfg, pid, omega, pair, train, test, fit, counts, regime)
-                    )
-    records.sort(key=lambda r: (r.process_id, r.omega, r.regime))
-    summaries = {}
-    dropped = 0
-    for omega in cfg.sweep_omegas:
-        for regime in ("single", "all"):
-            sub = [r for r in records if r.omega == omega and r.regime == regime]
-            summ, cell_dropped = bucket_by_kappa(sub, cfg.bucket_size)
-            summaries[f"omega{omega}_{regime}"] = summ
-            dropped += cell_dropped
-    meta = _metadata(cfg, records, skipped, dropped, counts)
-    _log_timing("omegaSweep", started)
-    return RunResult(records=records, summaries=summaries, metadata=meta)
-
-
-def run_confounded(cfg: ExperimentConfig) -> RunResult:
-    """Hidden-confounder study: bivariate first-order truth, scalar fit.
-
-    Only the first coordinate is observed.  The condition number is estimated
-    from the observed test sample, the causal risk by do-simulation on the
-    full bivariate truth, and the bounds are evaluated with these empirical
-    inputs; their violations are counted in the metadata.
-    """
-    started = time.monotonic()
-    records = []
-    skipped = 0
-    counts = dict.fromkeys(RUN_COUNTERS, 0)
-    for pid in range(cfg.n_processes):
-        try:
-            truth, test2 = _sample_truth_and_test(cfg, pid, 1, d=2)
-            train2 = _train_path(cfg, pid, truth, cfg.n_train)
-        except NumericalError:
-            skipped += 1
-            continue
-        records.append(_confounded_record(cfg, pid, truth, train2, test2, counts))
-    summaries, dropped = bucket_by_kappa(records, cfg.bucket_size)
-    meta = _metadata(cfg, records, skipped, dropped, counts)
-    _log_timing("confounded", started)
-    return RunResult(records=records, summaries={"confounded": summaries}, metadata=meta)
-
-
 def _confounded_record(
     cfg: ExperimentConfig,
     pid: int,
+    p_fit: int,
     truth: VarModel,
     train2: SamplePath,
     test2: SamplePath,
     counts: dict,
 ) -> ExperimentRecord:
-    """Fit and score the scalar model on the first coordinate of bivariate paths."""
+    """Hidden-confounder record: fit and score the scalar model on the first
+    coordinate of bivariate paths.
+
+    The condition number is estimated from the observed test sample, the
+    causal risk by do-simulation on the full bivariate truth, and the bounds
+    are evaluated with these empirical inputs; their violations are counted
+    in the metadata.
+    """
     estimator = cfg.estimators[0]
-    p_fit = cfg.orders[0]
     train = SamplePath(values=train2.values[:, :1].copy(), seed=train2.seed, burn_in=0)
     test = SamplePath(values=test2.values[:, :1].copy(), seed=test2.seed, burn_in=0)
     fit = _fit(cfg, train, p_fit, estimator, counts)
@@ -591,7 +561,7 @@ def _confounded_record(
         cor2_rhs=math.nan,
         thm1_rhs=thm1,
         omega=cfg.omega,
-        n_train=cfg.n_train,
+        n_train=train.n,
     )
 
 
@@ -686,12 +656,6 @@ def _metadata(
     }
 
 
-def _log_timing(mode: str, started: float) -> None:
-    # Wall time goes to stderr, not into the metadata: outputs must be
-    # byte-identical across reruns of the same config and seed.
-    print(f"[varcausal] {mode} run finished in {time.monotonic() - started:.1f}s", file=sys.stderr)
-
-
 def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -700,33 +664,20 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def records_to_csv(records) -> str:
-    lines = [",".join(RECORD_FIELDS)]
-    for r in records:
-        lines.append(",".join(_format_value(getattr(r, f)) for f in RECORD_FIELDS))
+def _to_csv(fields, rows) -> str:
+    lines = [",".join(fields)]
+    for row in rows:
+        lines.append(",".join(_format_value(getattr(row, f)) for f in fields))
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records) -> str:
+    return _to_csv(RECORD_FIELDS, records)
 
 
 def summaries_to_csv(summaries: list[BucketSummary]) -> str:
-    lines = [",".join(SUMMARY_FIELDS)]
-    for s in summaries:
-        lines.append(",".join(_format_value(getattr(s, f)) for f in SUMMARY_FIELDS))
-    return "\n".join(lines) + "\n"
+    return _to_csv(SUMMARY_FIELDS, summaries)
 
 
 def sweep_to_csv(summaries: list[SweepSummary]) -> str:
-    lines = [",".join(SWEEP_FIELDS)]
-    for s in summaries:
-        lines.append(",".join(_format_value(getattr(s, f)) for f in SWEEP_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def run(cfg: ExperimentConfig) -> RunResult:
-    """Dispatch on the configured mode."""
-    if cfg.mode == "standard":
-        return run_standard(cfg)
-    if cfg.mode == "sampleSweep":
-        return run_sample_sweep(cfg)
-    if cfg.mode == "omegaSweep":
-        return run_omega_sweep(cfg)
-    return run_confounded(cfg)
+    return _to_csv(SWEEP_FIELDS, summaries)

@@ -234,6 +234,15 @@ def empirical_stat_risk(
     lag window.  Squared errors (summed over components) can optionally be
     truncated at ``truncate``.
     """
+    sq = _squared_errors(fitted, path, omega)
+    if truncate is not None:
+        sq = np.minimum(sq, truncate)
+    return float(sq.mean())
+
+
+def _squared_errors(fitted: VarModel, path: SamplePath, omega: int) -> np.ndarray:
+    """Squared ``omega``-step prediction error, summed over components, of
+    every path window, in window order."""
     if omega < 1:
         raise BadInputError("omega must be a positive integer")
     x = path.values
@@ -248,10 +257,7 @@ def empirical_stat_risk(
     count = n - omega - p + 1
     preds = lagged[:count] @ weights.T
     errs = x[p - 1 + omega :] - preds
-    sq = (errs**2).sum(axis=1)
-    if truncate is not None:
-        sq = np.minimum(sq, truncate)
-    return float(sq.mean())
+    return (errs**2).sum(axis=1)
 
 
 def _lag_matrix(x: np.ndarray, p: int) -> np.ndarray:

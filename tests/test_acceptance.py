@@ -38,9 +38,7 @@ from varcausal.estimators import build_design, fit_ols, fit_regularized
 from varcausal.harness import (
     ExperimentConfig,
     bucket_by_kappa,
-    run_omega_sweep,
-    run_sample_sweep,
-    run_standard,
+    run,
 )
 from varcausal.interventions import InterventionSpec
 from varcausal.process import (
@@ -367,7 +365,7 @@ def test_criterion_08_study_reproduction():
         master_seed=2027,
         mc_draws=0,
     )
-    res = run_standard(cfg)
+    res = run(cfg)
     g = np.array([r.g_analytic for r in res.records])
     s = np.array([r.s_analytic for r in res.records])
     frac = float((g > 2 * s).mean())
@@ -408,7 +406,7 @@ def test_criterion_09_training_size_sweep():
         master_seed=515,
         mc_draws=0,
     )
-    res = run_sample_sweep(cfg)
+    res = run(cfg)
     medians = [res.summaries[f"n{n}"][0].q50 for n in (10, 100, 1000)]
     elapsed = time.monotonic() - started
     ok = medians[0] > medians[1] > medians[2]
@@ -441,7 +439,7 @@ def test_criterion_10_horizon_decay():
         master_seed=99,
         mc_draws=0,
     )
-    res = run_omega_sweep(cfg)
+    res = run(cfg)
     stable_pids = {
         r.process_id
         for r in res.records

@@ -16,10 +16,6 @@ from varcausal.harness import (
     bucket_by_kappa,
     records_to_csv,
     run,
-    run_confounded,
-    run_omega_sweep,
-    run_sample_sweep,
-    run_standard,
     summaries_to_csv,
     sweep_to_csv,
 )
@@ -103,6 +99,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"estimators": ()},
+            {"mode": "sampleSweep", "estimators": ("ols", "ridge")},
+            {"mode": "omegaSweep", "estimators": ("ridge", "ols")},
+            {"mode": "confounded", "estimators": ("ols", "ols")},
+            {"mode": "sampleSweep", "order_pairs": ((1, 2),)},
+            {"mode": "omegaSweep", "order_pairs": ((1, 2),)},
+            {"mode": "confounded", "order_pairs": ((2, 1),)},
+        ],
+    )
+    def test_unused_settings_rejected(self, bad):
+        # Only the standard study fits several estimators and order pairs;
+        # the other modes would echo them in the metadata without using them.
+        with pytest.raises(ConfigError):
+            tiny_cfg(**bad)
+
     def test_smallest_training_sizes_run(self):
         # One row past the limit, every estimator fits and every record is kept.
         for kw in (
@@ -122,34 +136,34 @@ class TestConfig:
 class TestRunStandard:
     def test_deterministic(self):
         cfg = tiny_cfg()
-        a = run_standard(cfg)
-        b = run_standard(cfg)
+        a = run(cfg)
+        b = run(cfg)
         assert records_to_csv(a.records) == records_to_csv(b.records)
         assert a.metadata == b.metadata
 
     def test_first_order_processes_have_zero_gap(self):
         cfg = tiny_cfg(orders=(1,), n_processes=8, bucket_size=4)
-        res = run_standard(cfg)
+        res = run(cfg)
         assert res.records
         for rec in res.records:
             assert rec.abs_diff <= 1e-12
 
     def test_prop1_dominates_every_record(self):
         cfg = tiny_cfg(n_processes=30, orders=(3,), bucket_size=10)
-        res = run_standard(cfg)
+        res = run(cfg)
         assert res.metadata["prop1_violations"] == 0
         for rec in res.records:
             assert rec.abs_diff <= rec.prop1_rhs + 1e-9 * (1 + abs(rec.prop1_rhs))
 
     def test_misspecified_orders_run(self):
         cfg = tiny_cfg(orders=(1,), order_pairs=((1, 3), (3, 1)), n_processes=4, bucket_size=4)
-        res = run_standard(cfg)
+        res = run(cfg)
         combos = {(r.order_fit, r.order_true) for r in res.records}
         assert combos == {(1, 1), (1, 3), (3, 1)}
 
     def test_multiple_estimators_per_process(self):
         cfg = tiny_cfg(estimators=("ols", "ridge"), n_processes=4, bucket_size=4)
-        res = run_standard(cfg)
+        res = run(cfg)
         assert len(res.records) == 8
         assert {r.estimator for r in res.records} == {"ols", "ridge"}
 
@@ -177,7 +191,7 @@ class TestBucketing:
 
     def test_bound_column_dominates_max_diff(self):
         cfg = tiny_cfg(n_processes=20, orders=(3,), bucket_size=10)
-        res = run_standard(cfg)
+        res = run(cfg)
         for b in res.summaries["standard"]:
             assert b.bound >= b.max_diff
 
@@ -198,18 +212,18 @@ class TestSampleSweep:
             n_processes=6,
             orders=(2,),
         )
-        res = run_sample_sweep(cfg)
+        res = run(cfg)
         assert set(res.summaries) == {"n20", "n60"}
         text = sweep_to_csv(res.summaries["n20"])
         assert text.startswith("n_train,q0,q25,q50,q75,q100,mean,std,count")
-        res2 = run_sample_sweep(cfg)
+        res2 = run(cfg)
         assert sweep_to_csv(res2.summaries["n20"]) == sweep_to_csv(res.summaries["n20"])
 
     def test_quantiles_ordered(self):
         cfg = tiny_cfg(
             mode="sampleSweep", estimators=("ridge",), sweep_train_sizes=(30,), n_processes=8
         )
-        res = run_sample_sweep(cfg)
+        res = run(cfg)
         s = res.summaries["n30"][0]
         assert s.q0 <= s.q25 <= s.q50 <= s.q75 <= s.q100
         assert s.count == 8
@@ -218,21 +232,21 @@ class TestSampleSweep:
         # Seeds do not depend on the loop order, so the records of size n are
         # exactly those of a standard run at n_train = n.
         kw = dict(estimators=("ridge",), n_processes=5, orders=(2, 3), mc_draws=50)
-        res = run_sample_sweep(tiny_cfg(mode="sampleSweep", sweep_train_sizes=(20, 60), **kw))
+        res = run(tiny_cfg(mode="sampleSweep", sweep_train_sizes=(20, 60), **kw))
         for n in (20, 60):
             sweep_n = [r for r in res.records if r.n_train == n]
-            std = run_standard(tiny_cfg(n_train=n, **kw))
+            std = run(tiny_cfg(n_train=n, **kw))
             assert records_to_csv(sweep_n) == records_to_csv(std.records)
 
 
 class TestOmegaSweep:
     def test_regimes_and_match_with_standard(self):
         cfg = tiny_cfg(mode="omegaSweep", sweep_omegas=(1, 3), n_processes=6, orders=(2,))
-        res = run_omega_sweep(cfg)
+        res = run(cfg)
         assert set(res.summaries) == {"omega1_single", "omega1_all", "omega3_single", "omega3_all"}
         # Matched seeds: the omega-1 single-regime records coincide with a
         # standard run of the same config.
-        std = run_standard(tiny_cfg(n_processes=6, orders=(2,), omega=1))
+        std = run(tiny_cfg(n_processes=6, orders=(2,), omega=1))
         sweep_w1 = [r for r in res.records if r.omega == 1 and r.regime == "single"]
         assert records_to_csv(sweep_w1) == records_to_csv(std.records)
 
@@ -249,7 +263,7 @@ class TestOmegaSweep:
             mc_draws=0,
             bucket_size=30,
         )
-        res = run_omega_sweep(cfg)
+        res = run(cfg)
         singles = res.summaries["omega1_single"]
         alls = res.summaries["omega1_all"]
         assert len(singles) == 5
@@ -262,7 +276,7 @@ class TestOmegaSweep:
         cfg = tiny_cfg(
             mode="omegaSweep", n_processes=23, orders=(3,), mc_draws=0, bucket_size=10
         )
-        res = run_omega_sweep(cfg)
+        res = run(cfg)
         cells = len(cfg.sweep_omegas) * 2
         assert res.metadata["skipped"] == 0
         assert len(res.records) == 23 * cells
@@ -272,13 +286,13 @@ class TestOmegaSweep:
 class TestConfounded:
     def test_deterministic(self):
         cfg = tiny_cfg(mode="confounded", n_processes=8, orders=(3,), bucket_size=4, mc_draws=1000)
-        a = run_confounded(cfg)
-        b = run_confounded(cfg)
+        a = run(cfg)
+        b = run(cfg)
         assert records_to_csv(a.records) == records_to_csv(b.records)
 
     def test_violations_are_counted_not_hidden(self):
         cfg = tiny_cfg(mode="confounded", n_processes=8, orders=(3,), bucket_size=4, mc_draws=1000)
-        res = run_confounded(cfg)
+        res = run(cfg)
         assert "prop1_violations" in res.metadata
         assert res.metadata["prop1_violations"] >= 0
 
@@ -300,7 +314,7 @@ class TestConfounded:
         # Confounded records have no analytic causal risk; the count must
         # come from g_mc (process 18 of this config exceeds its bound).
         cfg = tiny_cfg(mode="confounded", n_processes=20, master_seed=9, mc_draws=1000)
-        res = run_confounded(cfg)
+        res = run(cfg)
         violations = sum(
             1 for r in res.records if math.isfinite(r.thm1_rhs) and r.g_mc > r.thm1_rhs
         )
@@ -324,7 +338,7 @@ class TestConfounded:
             return draw(truth, length, draws, rng)
 
         monkeypatch.setattr(harness, "_draw_windows", spy)
-        run_confounded(tiny_cfg(mode="confounded", n_processes=2, mc_draws=200))
+        run(tiny_cfg(mode="confounded", n_processes=2, mc_draws=200))
         assert asked and set(asked) == {200}
 
 
@@ -484,6 +498,42 @@ class TestThm1NanCounter:
         assert res.metadata["thm1_nan"] == 1
         assert [r.process_id for r in res.records if math.isnan(r.thm1_rhs)] == [1]
 
+    @pytest.mark.parametrize(
+        "mode, kw",
+        [
+            ("standard", {}),
+            ("omegaSweep", {"sweep_omegas": (1, 3)}),
+            ("sampleSweep", {"sweep_train_sizes": (30, 60)}),
+        ],
+    )
+    def test_failing_unit_is_skipped(self, monkeypatch, mode, kw):
+        # One (process, training size) unit whose scoring fails is skipped;
+        # the run goes on and every other record stays as it was.
+        from varcausal import harness
+        from varcausal.errors import NumericalError
+
+        cfg = tiny_cfg(mode=mode, n_processes=3, orders=(2,), mc_draws=50, bucket_size=1, **kw)
+        base = run(cfg)
+        assert base.metadata["skipped"] == 0
+        target = [r for r in base.records if r.process_id == 1][-1]
+        real = harness.prop1_bound
+
+        def fail_on_target(pair, omega):
+            if tuple(pair.fitted.scalar_coeffs) == target.coeffs_fit:
+                raise NumericalError("injected failure")
+            return real(pair, omega)
+
+        monkeypatch.setattr(harness, "prop1_bound", fail_on_target)
+        res = run(cfg)
+        assert res.metadata["skipped"] == 1
+        kept = [
+            r for r in base.records
+            if (r.process_id, r.n_train) != (target.process_id, target.n_train)
+        ]
+        assert len(kept) < len(base.records)
+        assert records_to_csv(res.records) == records_to_csv(kept)
+        assert res.metadata["n_records"] == len(kept)
+
     def test_admissible_scheme_leaves_positive_confidence(self):
         # Why the counter reads 0 on ordinary runs: the scheme the harness
         # picks never drives thm1's corrected confidence to zero or below.
@@ -515,7 +565,7 @@ class TestEmpiricalAgreement:
 
         cfg = tiny_cfg(n_processes=60, orders=(3,), n_train=100, n_test=1000,
                        mc_draws=0, bucket_size=30, master_seed=11)
-        res = run_standard(cfg)
+        res = run(cfg)
         for r in res.records:
             truth = VarModel.from_coeffs(r.coeffs_true)
             fitted = VarModel.from_coeffs(r.coeffs_fit)
@@ -538,7 +588,7 @@ class TestEmpiricalAgreement:
 class TestRecordCsv:
     def test_header_and_row_count(self):
         cfg = tiny_cfg(n_processes=3, bucket_size=3)
-        res = run_standard(cfg)
+        res = run(cfg)
         lines = records_to_csv(res.records).strip().split("\n")
         assert lines[0].startswith("process_id,order_true,order_fit,estimator,regime,kappa")
         assert len(lines) == 1 + len(res.records)
