@@ -148,10 +148,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown estimator {est!r}")
         # Only the standard study fits several estimators and misspecified
         # order pairs; elsewhere they would be echoed in the metadata unused.
-        if self.mode != "standard" and len(self.estimators) > 1:
-            raise ConfigError(f"{self.mode} mode fits one estimator, got {len(self.estimators)}")
-        if self.mode != "standard" and self.order_pairs:
-            raise ConfigError("order_pairs apply to standard mode only")
+        if self.mode != "standard" and (len(self.estimators) > 1 or self.order_pairs):
+            raise ConfigError(f"{self.mode} mode takes one estimator and no order_pairs")
         if self.omega < 1 or any(w < 1 for w in self.sweep_omegas):
             raise ConfigError("omega values must be positive")
         if self.mc_draws < 0:
