@@ -31,11 +31,11 @@ from .process import AutocovMatrix, SamplePath, VarModel
 from .risk import (
     ModelPair,
     causal_risk,
-    empirical_stat_risk,
     risk_difference,
     stat_risk,
     _lag_matrix,
     _squared_errors,
+    _truncated_mean,
 )
 from .seeding import as_rng
 
@@ -373,14 +373,6 @@ def rademacher_estimate(
     return 4.0 * math.sqrt(m_trunc) * radius * mean_norm / mu
 
 
-def default_truncation(
-    fitted: VarModel, path: SamplePath, omega: int, quantile: float = 0.999
-) -> float:
-    """Truncation level: high quantile of the observed squared errors."""
-    sq = _squared_errors(fitted, path, omega)
-    return float(max(np.quantile(sq, quantile), 1e-12))
-
-
 def thm1_bound(
     fitted: VarModel,
     path: SamplePath,
@@ -409,6 +401,8 @@ def thm1_bound(
     ``rho``, so it must be supplied (a conservative choice is the truth's
     stability parameter).  ``lhs`` is an optional externally computed causal
     risk recorded for the holds flag; without it the report is vacuous.
+    ``m_trunc`` of ``None`` truncates at the 0.999 quantile of the path's
+    squared errors.
     """
     if not 0.0 < rho < 1.0:
         raise BadInputError("rho must lie in (0, 1)")
@@ -422,12 +416,15 @@ def thm1_bound(
             f"invalid block scheme: corrected confidence {conf_eff:.3e} <= 0 "
             f"(mu = {scheme.mu}, m = {scheme.m}, rho = {rho})"
         )
+    # One array of squared errors gives the default truncation level and the
+    # truncated empirical risk.
+    sq = _squared_errors(fitted, path, omega)
     if m_trunc is None:
-        m_trunc = default_truncation(fitted, path, omega)
+        m_trunc = float(max(np.quantile(sq, 0.999), 1e-12))
     if radius is None:
         radius = max(1.0, float(np.linalg.norm(np.concatenate([b.ravel() for b in fitted.coeffs]))))
 
-    s_hat = empirical_stat_risk(fitted, path, omega, truncate=m_trunc)
+    s_hat = _truncated_mean(sq, m_trunc)
     blocks = lag_window_blocks(path, fitted.p, scheme)
     r_hat = rademacher_estimate(blocks, radius, m_trunc, seed, draws)
     zeta = 2.0 * kappa

@@ -167,16 +167,51 @@ def _char_residual(comp: CompanionMatrix, eigenvalues: np.ndarray) -> float:
 def spectrum(comp: CompanionMatrix, distinct_tol: float = DEFAULT_DISTINCT_TOL) -> Spectrum:
     """Eigenvalues of the companion matrix with distinctness and residual checks.
 
+    This is :func:`spectra` for one companion.
+
     Raises
     ------
     NumericalError
         If the eigensolver fails to converge or the computed eigenvalues do
         not satisfy the characteristic equation to within tolerance.
     """
-    try:
-        eig = np.linalg.eigvals(comp.dense)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    (spec,) = spectra([comp], distinct_tol)
+    if isinstance(spec, NumericalError):
+        raise spec
+    return spec
+
+
+def spectra(
+    comps: Sequence[CompanionMatrix], distinct_tol: float = DEFAULT_DISTINCT_TOL
+) -> list[Spectrum | NumericalError]:
+    """The :func:`spectrum` of each companion, or the ``NumericalError`` it raises.
+
+    Companions of one size share one stacked ``eigvals`` call, which gives
+    each matrix the bits of its own call; sorting, the gap and the residual
+    check run per companion.
+    """
+    out: list[Spectrum | NumericalError | None] = [None] * len(comps)
+    by_size: dict[int, list[int]] = {}
+    for i, comp in enumerate(comps):
+        by_size.setdefault(comp.size, []).append(i)
+    for idx in by_size.values():
+        try:
+            eigs = np.linalg.eigvals(np.stack([comps[i].dense for i in idx]))
+        except np.linalg.LinAlgError as exc:
+            if len(idx) > 1:  # find the companion that failed: one call each
+                for i in idx:
+                    out[i] = spectra([comps[i]], distinct_tol)[0]
+                continue
+            out[idx[0]] = NumericalError(f"eigenvalue solver failed: {exc}")
+            continue
+        for i, eig in zip(idx, eigs):
+            out[i] = _checked_spectrum(comps[i], eig, distinct_tol)
+    return out
+
+
+def _checked_spectrum(comp: CompanionMatrix, eig: np.ndarray, distinct_tol: float):
+    if np.iscomplexobj(eig) and not eig.imag.any():
+        eig = eig.real  # a stack is complex if any member is; one call would be real
     eig = eig[np.argsort(-np.abs(eig), kind="stable")]
     if len(eig) > 1:
         diffs = np.abs(eig[:, None] - eig[None, :])
@@ -185,7 +220,7 @@ def spectrum(comp: CompanionMatrix, distinct_tol: float = DEFAULT_DISTINCT_TOL) 
         min_gap = math.inf
     residual = _char_residual(comp, eig)
     if residual > CHAR_RESIDUAL_TOL:
-        raise NumericalError(
+        return NumericalError(
             f"characteristic polynomial residual {residual:.3e} exceeds tolerance"
         )
     return Spectrum(

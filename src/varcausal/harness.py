@@ -47,10 +47,12 @@ from .errors import ConfigError, NumericalError
 from .estimators import ESTIMATORS, OLS, FitResult, build_design, fit_cv, fit_ols
 from .interventions import InterventionSpec, marginal_variances
 from .process import (
+    SAMPLE_COUNTS,
     SamplePath,
     VarModel,
     empirical_autocov,
-    rejection_sample_stable,
+    prepare_models,
+    rejection_sample_block,
     simulate,
 )
 from .risk import (
@@ -96,6 +98,9 @@ SWEEP_FIELDS = ("n_train", "q0", "q25", "q50", "q75", "q100", "mean", "std", "co
 #: Per-run counts in ``metadata.json``: fits whose ``FitResult`` flags are set,
 #: and thm1 values that are NaN because ``thm1_bound`` refused the block scheme.
 RUN_COUNTERS = ("fits_nonconverged", "fits_rank_deficient", "thm1_nan")
+
+#: Processes whose truths are sampled and set up together (see ``run``).
+CHUNK_PROCESSES = 64
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.mode} mode takes one estimator and no order_pairs")
         if self.omega < 1 or any(w < 1 for w in self.sweep_omegas):
             raise ConfigError("omega values must be positive")
+        if len(set(self.sweep_omegas)) != len(self.sweep_omegas):
+            raise ConfigError("sweep_omegas must be distinct")
         if self.mc_draws < 0:
             raise ConfigError("mc_draws must be non-negative")
         if self.mode == "confounded" and self.mc_draws < 1:
@@ -390,22 +397,27 @@ def run(cfg: ExperimentConfig) -> RunResult:
     ``(b + 1) * n_processes - 1``.  Each process draws one truth and one test
     path, then, per training size, one training path that every estimator
     fits; each fit is scored in every (omega, regime) cell of
-    :func:`_cells`.  A (process, size) unit whose sampling, fit or scoring
-    raises ``NumericalError`` has no records and counts once in ``skipped``.
+    :func:`_cells`.  The truths are sampled and set up
+    ``CHUNK_PROCESSES`` at a time (see :func:`_truths`).  A (process, size)
+    unit whose sampling, fit or scoring raises ``NumericalError``, or whose
+    truth exhausts ``max_tries``, has no records and counts once in
+    ``skipped``.
     """
     started = time.monotonic()
     sizes = [int(n) for n in cfg.sweep_train_sizes] if cfg.mode == "sampleSweep" else [cfg.n_train]
     per_size: list[list[ExperimentRecord]] = [[] for _ in sizes]
     skipped = 0
     counts = dict.fromkeys(RUN_COUNTERS, 0)
+    sampling: dict[str, dict] = {}
     for block, (p_fit, q_true, d) in enumerate(_blocks(cfg)):
-        for pid in range(block * cfg.n_processes, (block + 1) * cfg.n_processes):
+        pids = range(block * cfg.n_processes, (block + 1) * cfg.n_processes)
+        tally = sampling.setdefault(str(q_true), dict.fromkeys(SAMPLE_COUNTS, 0))
+        for pid, truth in _truths(cfg, pids, q_true, d, tally):
             stage_rng = functools.partial(derive_rng, cfg.master_seed, pid)
+            if truth is None:
+                skipped += len(sizes)
+                continue
             try:
-                truth = rejection_sample_stable(
-                    q_true, d, cfg.coeff_lo, cfg.coeff_hi, stage_rng(seeding.STAGE_TRUTH),
-                    max_tries=cfg.max_tries, noise_variance=cfg.noise_variance,
-                )
                 test = simulate(
                     truth, cfg.n_test, stage_rng(seeding.STAGE_TEST), init="stationary"
                 )
@@ -424,7 +436,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         recs.sort(key=lambda r: (r.process_id, r.estimator, r.omega, r.regime))
     records = [rec for recs in per_size for rec in recs]
     summaries, dropped = _summarize(cfg, sizes, per_size)
-    meta = _metadata(cfg, records, skipped, dropped, counts)
+    meta = _metadata(cfg, records, skipped, dropped, counts, sampling)
     # Wall time goes to stderr, not into the metadata: outputs must be
     # byte-identical across reruns of the same config and seed.
     elapsed = time.monotonic() - started
@@ -438,6 +450,27 @@ def _blocks(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
         # A bivariate first-order truth, observed through one coordinate.
         return [(cfg.orders[0], 1, 2)]
     return [(q, q, 1) for q in cfg.orders] + [(int(p), int(q), 1) for p, q in cfg.order_pairs]
+
+
+def _truths(cfg: ExperimentConfig, pids: range, q_true: int, d: int, tally: dict):
+    """(process id, truth) of each process, the truth ``None`` when sampling
+    exhausts ``max_tries``.
+
+    Each truth comes from its own process's generator.  A chunk of
+    ``CHUNK_PROCESSES`` processes is sampled in one
+    :func:`rejection_sample_block` call and set up in one
+    :func:`prepare_models` call, so the small per-model eigenvalue, Lyapunov
+    and square-root problems run as stacked calls.
+    """
+    for start in range(0, len(pids), CHUNK_PROCESSES):
+        chunk = pids[start : start + CHUNK_PROCESSES]
+        rngs = [derive_rng(cfg.master_seed, pid, seeding.STAGE_TRUTH) for pid in chunk]
+        truths = rejection_sample_block(
+            q_true, d, cfg.coeff_lo, cfg.coeff_hi, rngs,
+            max_tries=cfg.max_tries, noise_variance=cfg.noise_variance, tally=tally,
+        )
+        prepare_models([truth for truth in truths if truth is not None])
+        yield from zip(chunk, truths)
 
 
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, str]]:
@@ -625,7 +658,7 @@ def bucket_by_kappa(records, bucket_size: int) -> tuple[list[BucketSummary], int
 
 
 def _metadata(
-    cfg: ExperimentConfig, records, skipped: int, bucket_dropped, counts: dict
+    cfg: ExperimentConfig, records, skipped: int, bucket_dropped, counts: dict, sampling: dict
 ) -> dict:
     # Confounded runs have no analytic causal risk; thm1 bounds the MC one.
     g_field = "g_mc" if cfg.mode == "confounded" else "g_analytic"
@@ -651,6 +684,7 @@ def _metadata(
         "prop1_violations": prop1_viol,
         "thm1_violations": thm1_viol,
         **counts,
+        "sampling": sampling,
     }
 
 

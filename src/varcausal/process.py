@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg.blas import dtbsv
 
-from .companion import CompanionMatrix, Spectrum, build_companion, spectrum
+from .companion import CompanionMatrix, Spectrum, build_companion, spectra
 from .errors import BadInputError, NumericalError
 from .seeding import as_rng
 
@@ -37,6 +37,20 @@ MIN_ESTIMATION_WINDOWS = 10
 #: Margin the stability screen leaves for the eigenvalue check's own rounding.
 _SCREEN_MARGIN = 1e-8
 
+#: Most candidate rows one call of ``rejection_sample_block`` screens at once,
+#: unless one batch is larger.  It bounds the sampler's memory: 64 processes'
+#: 4096-row order-7 batches would hold 15 MB per array, and peak RSS of a
+#: standard study rose 3% at 8192 rows against 1.7% at 4096 and below.
+_SAMPLE_ROWS = 4096
+
+#: Counts ``rejection_sample_block`` adds to its ``tally``: candidates drawn,
+#: and rows removed by the step-down screen.
+SAMPLE_COUNTS = ("drawn", "step_down_removed")
+
+#: State dimension from which ``scipy.linalg.solve_discrete_lyapunov`` turns to
+#: its bilinear method; below it the batched Kronecker solve gives its bits.
+_BILINEAR_SIZE = 10
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -50,6 +64,9 @@ class VarModel:
 
     The companion matrix, its spectrum, the stationary state covariance and the
     per-length padded lifts and window autocovariances are cached once per model.
+    :func:`prepare_models` fills the spectrum, state covariance and order-p
+    window root of many models in stacked calls; on a cache miss each property
+    runs the same code on its one model.
     """
 
     d: int
@@ -100,19 +117,12 @@ class VarModel:
     @cached_property
     def spectrum(self) -> Spectrum:
         """Companion eigenvalues; a failed residual check raises on every access."""
-        spec = spectrum(self.companion)
-        spec.eigenvalues.setflags(write=False)
-        return spec
+        return _one(_spectra([self]))
 
     @cached_property
     def state_cov(self) -> np.ndarray:
         """Stationary covariance of the stacked state ``(x_t, ..., x_{t-p+1})``."""
-        delta = self.spectrum.max_modulus
-        if delta >= 1.0:
-            raise NumericalError(f"unstable model (max modulus {delta:.6f}) has no stationary law")
-        state = _lyapunov_state_cov(self)
-        state.setflags(write=False)
-        return state
+        return _one(_state_covs([self]))
 
     def _memo(self, key: tuple[str, int], build):
         if key not in self._by_length:
@@ -238,9 +248,7 @@ class AutocovMatrix:
     @cached_property
     def root(self) -> np.ndarray:
         """Symmetric PSD square root of ``dense`` (read-only)."""
-        root = _psd_sqrt(self.dense)
-        root.setflags(write=False)
-        return root
+        return _one(_psd_roots([self]))
 
 
 def _frozen_companion(coeffs, order: int) -> CompanionMatrix:
@@ -378,23 +386,139 @@ def stationary_window(model: VarModel, length: int, rng: np.random.Generator) ->
     return flat.reshape(length, model.d)
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root with tiny negative eigenvalues clipped to zero."""
-    w, v = np.linalg.eigh(matrix)
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w) @ v.T
+# ---------------------------------------------------------------------------
+# Per-model set-up, stacked across models
+# ---------------------------------------------------------------------------
 
 
-def _lyapunov_state_cov(model: VarModel) -> np.ndarray:
-    """Stationary covariance of the stacked state: solves S = C S C' + S_e."""
-    comp = model.companion.dense
-    se = np.zeros_like(comp)
-    se[: model.d, : model.d] = model.noise_variance * np.eye(model.d)
+def prepare_models(models) -> None:
+    """Fill each model's spectrum, state covariance and order-p window root.
+
+    Models of one shape share one stacked ``eigvals``, one batched Lyapunov
+    solve and one ``eigh``, which give every model the bits of its own calls.
+    A model whose spectrum check fails, or that is unstable, keeps the values
+    that depend on it unset, so reading them raises as it always did.
+    """
+    _fill(models, "spectrum", _spectra)
+    _fill([m for m in models if "spectrum" in vars(m)], "state_cov", _state_covs)
+    windows = [m.autocov(m.p) for m in models if "state_cov" in vars(m)]
+    _fill(windows, "root", _psd_roots)
+
+
+def _fill(objs, name: str, compute) -> None:
+    """Cache ``compute``'s value of the property ``name`` on every object
+    without one; a ``NumericalError`` in place of a value leaves it unset."""
+    todo = [obj for obj in objs if name not in vars(obj)]
+    for obj, value in zip(todo, compute(todo) if todo else ()):
+        if not isinstance(value, NumericalError):
+            vars(obj)[name] = value  # where cached_property would keep it
+
+
+def _one(values):
+    """The one value of a one-element set-up, raising its error."""
+    (value,) = values
+    if isinstance(value, NumericalError):
+        raise value
+    return value
+
+
+def _spectra(models) -> list:
+    out = spectra([m.companion for m in models])
+    for spec in out:
+        if isinstance(spec, Spectrum):
+            spec.eigenvalues.setflags(write=False)
+    return out
+
+
+def _state_covs(models) -> list:
+    """Stationary state covariances, solving S = C S C' + S_e (read-only).
+
+    Below ``_BILINEAR_SIZE`` the models of one state size share one batched
+    ``scipy.linalg.solve`` of ``(I - C kron C) vec(S) = vec(S_e)``, the system
+    ``solve_discrete_lyapunov`` solves for one model there; from that size on
+    each model calls ``solve_discrete_lyapunov``, which uses its bilinear method.
+    A stack of systems needs scipy 1.15 or later.  That the batched solve gives
+    each model the bits of its own ``solve_discrete_lyapunov`` call was checked
+    on scipy 1.17; ``TestPrepareModels`` in ``tests/test_process.py`` guards it.
+    """
+    out: list = [None] * len(models)
+    direct: dict[int, list[int]] = {}
+    for i, model in enumerate(models):
+        try:
+            delta = model.spectrum.max_modulus
+        except NumericalError as exc:
+            out[i] = exc
+            continue
+        if delta >= 1.0:
+            out[i] = NumericalError(
+                f"unstable model (max modulus {delta:.6f}) has no stationary law"
+            )
+        elif model.d * model.p < _BILINEAR_SIZE:
+            direct.setdefault(model.d * model.p, []).append(i)
+        else:
+            try:
+                state = linalg.solve_discrete_lyapunov(model.companion.dense, _noise_state(model))
+            except np.linalg.LinAlgError as exc:
+                out[i] = NumericalError(f"stationary covariance solve failed: {exc}")
+            else:
+                out[i] = _symmetrized(state)
+    for size, idx in direct.items():
+        for i, state in zip(idx, _kron_solve([models[i] for i in idx], size)):
+            out[i] = state
+    return out
+
+
+def _kron_solve(models, size: int) -> list:
+    if size == 1 and len(models) > 1:
+        # scipy (1.17) divides by a 1 x 1 system but factors a stack of them,
+        # and a factored solve may round differently: solve each alone.
+        return [state for m in models for state in _kron_solve([m], size)]
+    comps = np.stack([m.companion.dense for m in models])
+    # I - C kron C, built as np.kron builds it (one product per entry), in
+    # place: the systems of a chunk of order-7 models take 1.2 MB.
+    lhs = (comps[:, :, None, :, None] * comps[:, None, :, None, :]).reshape(
+        len(models), size * size, size * size
+    )
+    np.subtract(np.eye(size * size), lhs, out=lhs)
+    rhs = np.stack([_noise_state(m).reshape(-1, 1) for m in models])
     try:
-        state = linalg.solve_discrete_lyapunov(comp, se)
+        states = linalg.solve(lhs, rhs).reshape(-1, size, size)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"stationary covariance solve failed: {exc}") from exc
-    return 0.5 * (state + state.T)
+        if len(models) > 1:  # one solve each finds the singular systems
+            return [state for m in models for state in _kron_solve([m], size)]
+        return [NumericalError(f"stationary covariance solve failed: {exc}")]
+    return [_symmetrized(state) for state in states]
+
+
+def _noise_state(model: VarModel) -> np.ndarray:
+    """Innovation covariance of the stacked state."""
+    se = np.zeros((model.d * model.p,) * 2)
+    se[: model.d, : model.d] = model.noise_variance * np.eye(model.d)
+    return se
+
+
+def _symmetrized(state: np.ndarray) -> np.ndarray:
+    state = 0.5 * (state + state.T)
+    state.setflags(write=False)
+    return state
+
+
+def _psd_roots(windows) -> list:
+    """Symmetric PSD square roots of each ``AutocovMatrix``'s ``dense``, with
+    tiny negative eigenvalues clipped to zero (read-only); matrices of one
+    size share one stacked ``eigh``."""
+    out: list = [None] * len(windows)
+    by_size: dict[int, list[int]] = {}
+    for i, window in enumerate(windows):
+        by_size.setdefault(window.dense.shape[0], []).append(i)
+    for idx in by_size.values():
+        w, v = np.linalg.eigh(np.stack([windows[i].dense for i in idx]))
+        w = np.clip(w, 0.0, None)
+        roots = v * np.sqrt(w)[:, None, :] @ np.swapaxes(v, 1, 2)
+        for i, root in zip(idx, roots):
+            root.setflags(write=False)
+            out[i] = root
+    return out
 
 
 def autocov_blocks(model: VarModel, max_lag: int) -> np.ndarray:
@@ -473,12 +597,40 @@ def rejection_sample_stable(
 ) -> VarModel:
     """Draw coefficients i.i.d. uniform on [lo, hi] until the process is stable.
 
-    Stability is strict (every eigenvalue modulus below one).  Candidates are
-    evaluated in draw order, so the result is a deterministic function of the
-    seed; internally the stability checks run on batches of candidates for
-    speed, which does not change which candidate is accepted.  For scalar
-    processes the Schur-Cohn step-down test first discards the candidates it
-    proves unstable; the eigenvalues of the rest decide acceptance.
+    This is :func:`rejection_sample_block` for one generator, raising
+    ``NumericalError`` when ``max_tries`` candidates hold no stable one.
+    """
+    (model,) = rejection_sample_block(p, d, lo, hi, [as_rng(seed)], max_tries, noise_variance)
+    if model is None:
+        raise NumericalError(f"no stable draw within {max_tries} tries (order {p}, dim {d})")
+    return model
+
+
+def rejection_sample_block(
+    p: int,
+    d: int,
+    lo: float,
+    hi: float,
+    rngs,
+    max_tries: int = 100_000,
+    noise_variance: float = 1.0,
+    tally: dict | None = None,
+) -> list[VarModel | None]:
+    """One stable model per generator, by uniform rejection sampling.
+
+    Each generator draws batches of candidates, coefficients i.i.d. uniform on
+    [lo, hi], of 128 rows doubling to 4096 and capped by the ``max_tries`` left;
+    its model is its first stable candidate in draw order, or ``None`` when
+    ``max_tries`` candidates hold none.  Stability is strict (every eigenvalue
+    modulus below one).  The batches of all open generators are screened
+    together, in calls of at most ``_SAMPLE_ROWS`` rows, which changes no
+    result: each generator's model and final state are those of a block of one.
+    For scalar processes the Schur-Cohn step-down test first discards the
+    candidates it proves unstable; the eigenvalues of the rest decide
+    acceptance.
+
+    ``tally``, if given, gains the counts of ``SAMPLE_COUNTS``: candidates
+    drawn, and those removed by the step-down screen.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadInputError("the coefficient range must be finite")
@@ -488,35 +640,54 @@ def rejection_sample_stable(
         raise BadInputError("p and d must be positive")
     if max_tries < 1:
         raise BadInputError("max_tries must be positive")
-    rng = as_rng(seed)
-    size = p * d
+    rngs = [as_rng(rng) for rng in rngs]
+    models: list[VarModel | None] = [None] * len(rngs)
+    tally = tally if tally is not None else dict.fromkeys(SAMPLE_COUNTS, 0)
+    waiting = list(range(len(rngs)))
     tried = 0
     batch = 128
-    while tried < max_tries:
+    while waiting and tried < max_tries:
         count = min(batch, max_tries - tried)
-        cand = rng.uniform(lo, hi, size=(count, p, d, d))
-        if d == 1:
-            rows = np.flatnonzero(~_step_down_unstable(cand[:, :, 0, 0]))
-        else:
-            rows = np.arange(count)
-        comps = np.zeros((rows.size, size, size))
-        for l in range(p):
-            comps[:, :d, l * d : (l + 1) * d] = cand[rows, l]
-        if p > 1:
-            comps[:, d:, : d * (p - 1)] = np.eye(d * (p - 1))
-        moduli = np.abs(np.linalg.eigvals(comps)).max(axis=1)
-        stable = rows[moduli < 1.0]
-        if stable.size:
-            pick = cand[stable[0]]
-            return VarModel(
-                d=d,
-                p=p,
-                coeffs=tuple(pick[l].copy() for l in range(p)),
-                noise_variance=float(noise_variance),
-            )
+        per_call = max(1, _SAMPLE_ROWS // count)
+        for start in range(0, len(waiting), per_call):
+            group = waiting[start : start + per_call]
+            draws = [rngs[i].uniform(lo, hi, size=(count, p, d, d)) for i in group]
+            cand = draws[0] if len(draws) == 1 else np.concatenate(draws)
+            stable = _stable_rows(cand, tally)
+            # The first stable row at or after each process's segment start.
+            first = np.searchsorted(stable, np.arange(len(group)) * count)
+            for seg, (i, at) in enumerate(zip(group, first)):
+                if at < stable.size and stable[at] < (seg + 1) * count:
+                    pick = cand[stable[at]]
+                    models[i] = VarModel(
+                        d=d,
+                        p=p,
+                        coeffs=tuple(pick[l].copy() for l in range(p)),
+                        noise_variance=float(noise_variance),
+                    )
+        waiting = [i for i in waiting if models[i] is None]
         tried += count
         batch = min(4096, batch * 2)
-    raise NumericalError(f"no stable draw within {max_tries} tries (order {p}, dim {d})")
+    return models
+
+
+def _stable_rows(cand: np.ndarray, tally: dict) -> np.ndarray:
+    """Ascending indices of the stable candidates ``cand`` (count, p, d, d)."""
+    count, p, d, _ = cand.shape
+    rows = np.arange(count)
+    tally["drawn"] += count
+    if d == 1:
+        kept = ~_step_down_unstable(cand[:, :, 0, 0])
+        tally["step_down_removed"] += count - int(kept.sum())
+        rows = rows[kept]
+    size = p * d
+    comps = np.zeros((rows.size, size, size))
+    for l in range(p):
+        comps[:, :d, l * d : (l + 1) * d] = cand[rows, l]
+    if p > 1:
+        comps[:, d:, : d * (p - 1)] = np.eye(d * (p - 1))
+    moduli = np.abs(np.linalg.eigvals(comps)).max(axis=1)
+    return rows[moduli < 1.0]
 
 
 def _step_down_unstable(a: np.ndarray) -> np.ndarray:

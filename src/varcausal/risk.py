@@ -234,7 +234,11 @@ def empirical_stat_risk(
     lag window.  Squared errors (summed over components) can optionally be
     truncated at ``truncate``.
     """
-    sq = _squared_errors(fitted, path, omega)
+    return _truncated_mean(_squared_errors(fitted, path, omega), truncate)
+
+
+def _truncated_mean(sq: np.ndarray, truncate: float | None) -> float:
+    """Mean of the squared errors ``sq``, each first capped at ``truncate``."""
     if truncate is not None:
         sq = np.minimum(sq, truncate)
     return float(sq.mean())

@@ -24,7 +24,7 @@ from varcausal.bounds import (
 from varcausal.errors import BadInputError, NumericalError
 from varcausal.interventions import InterventionSpec
 from varcausal.process import VarModel, exact_autocov, simulate
-from varcausal.risk import ModelPair, causal_risk, risk_difference, stat_risk
+from varcausal.risk import ModelPair, causal_risk, empirical_stat_risk, risk_difference, stat_risk
 
 from conftest import random_stable_model, random_stable_pair
 
@@ -325,6 +325,33 @@ class TestThm1:
             rho=0.5, confidence=0.1,
         )
         assert math.isnan(rep.lhs) and rep.holds
+
+
+    @pytest.mark.parametrize("m_trunc", [None, 0.5])
+    def test_one_pass_over_the_squared_errors(self, monkeypatch, m_trunc):
+        # The truncation level and the truncated risk come from one array:
+        # the 0.999 quantile of the squared errors, and empirical_stat_risk.
+        from varcausal import bounds, risk
+
+        pair, path = self._setup(n=400, seed=8)
+        scheme = admissible_block_scheme(400, 0.86, 0.1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return risk._squared_errors(*args)
+
+        monkeypatch.setattr(bounds, "_squared_errors", counted)
+        rep = thm1_bound(
+            pair.fitted, path, scheme, 2, 1, kappa=3.0, m_trunc=m_trunc,
+            rho=0.86, confidence=0.1,
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+        quantile = np.quantile(risk._squared_errors(pair.fitted, path, 2), 0.999)
+        level = float(quantile) if m_trunc is None else m_trunc
+        assert rep.inputs["M"] == level
+        assert rep.inputs["s_hat"] == empirical_stat_risk(pair.fitted, path, 2, truncate=level)
 
 
 class TestRiskDifferenceDominance:

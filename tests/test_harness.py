@@ -117,6 +117,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(**bad)
 
+    def test_repeated_sweep_omegas_rejected(self):
+        # They used to write each (process, regime) record twice, and every
+        # bucket held each value twice.
+        with pytest.raises(ConfigError, match="sweep_omegas"):
+            tiny_cfg(mode="omegaSweep", sweep_omegas=(5, 1, 5))
+
     def test_smallest_training_sizes_run(self):
         # One row past the limit, every estimator fits and every record is kept.
         for kw in (
@@ -344,33 +350,41 @@ class TestConfounded:
 
 class TestDerivedQuantitiesOnce:
     def test_one_standard_process_solves_each_model_once(self, monkeypatch):
-        # Truth and fit each need one spectrum and one companion; only the
-        # truth needs its stationary covariance (one Lyapunov solve), one
-        # window autocovariance and one PSD root, however many callers.  Each
-        # record's risks and bounds share one intervened window.
+        # A chunk of three processes samples its truths in one call and sets
+        # them up in one stacked call per quantity: spectra, Lyapunov solves
+        # and window roots.  Each fit needs its own spectrum and companion;
+        # only truths need a stationary covariance, a window autocovariance
+        # and a root.  Each record's risks and bounds share one intervened
+        # window.  ``models`` counts the models (or windows) each set-up
+        # call handles, so each model's quantities are computed once.
         import sys
 
         from varcausal import harness, interventions, process, risk
         from varcausal.harness import run
 
+        setups = ("_spectra", "_state_covs", "_psd_roots")
         once = {
-            "spectrum": 2,
-            "build_companion": 2,
-            "autocov_blocks": 1,
-            "_psd_sqrt": 1,
-            "_lyapunov_state_cov": 1,
-            "interventional_cov": 1,
+            "_spectra": 4,
+            "build_companion": 6,
+            "autocov_blocks": 3,
+            "_psd_roots": 1,
+            "_state_covs": 1,
+            "interventional_cov": 3,
             # One noise floor, and one quadratic form each for the record's
             # statistical and causal risk, however often the bounds ask.
-            "noise_floor": 1,
-            "_risk": 2,
-            "rejection_sample_stable": 1,
+            "noise_floor": 3,
+            "_risk": 6,
+            "rejection_sample_block": 1,
         }
+        once_models = {"_spectra": 6, "_state_covs": 3, "_psd_roots": 3}
         counts = dict.fromkeys(once, 0)
+        models = dict.fromkeys(setups, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
+                if name in models:
+                    models[name] += len(args[0])
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -390,30 +404,75 @@ class TestDerivedQuantitiesOnce:
                     monkeypatch.setattr(mod, name, counted(name, fn))
         monkeypatch.setattr(harness, "simulate", simulate)
 
-        def one_process(**kw):
+        def one_chunk(**kw):
             counts.update(dict.fromkeys(once, 0))
+            models.update(dict.fromkeys(setups, 0))
             lengths.clear()
             cfg = tiny_cfg(
-                n_processes=1, orders=(3,), bucket_size=1, n_test=1000, mc_draws=1000, **kw
+                n_processes=3, orders=(3,), bucket_size=1, n_test=1000, mc_draws=1000, **kw
             )
-            assert run(cfg).records
-            return counts
+            res = run(cfg)
+            assert res.records and res.metadata["skipped"] == 0
+            return counts, models
 
-        assert one_process() == once
-        # The process's 6 records share one pair.  Per horizon: one noise
+        assert one_chunk() == (once, once_models)
+        # Each process's 6 records share one pair.  Per horizon: one noise
         # floor, one statistical risk, and one intervened window and causal
         # risk per regime; the every-step record's bounds reuse the
         # single-step window.
-        assert one_process(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == {
-            **once, "interventional_cov": 6, "noise_floor": 3, "_risk": 9
-        }
+        assert one_chunk(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == (
+            {**once, "interventional_cov": 18, "noise_floor": 9, "_risk": 27}, once_models
+        )
         # One truth and one test path per process; one training path and one
         # fit (a spectrum and a companion) per size.
-        assert one_process(mode="sampleSweep", sweep_train_sizes=(20, 40, 60)) == {
-            **once, "spectrum": 4, "build_companion": 4, "interventional_cov": 3,
-            "noise_floor": 3, "_risk": 6,
-        }
-        assert sorted(lengths) == [20, 40, 60, 1000]
+        assert one_chunk(mode="sampleSweep", sweep_train_sizes=(20, 40, 60)) == (
+            {
+                **once, "_spectra": 10, "build_companion": 12, "interventional_cov": 9,
+                "noise_floor": 9, "_risk": 18,
+            },
+            {**once_models, "_spectra": 12},
+        )
+        assert sorted(lengths) == [20] * 3 + [40] * 3 + [60] * 3 + [1000] * 3
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"orders": (2, 5), "n_processes": 7},
+            {"mode": "omegaSweep", "orders": (3,), "n_processes": 5, "sweep_omegas": (1, 2)},
+            {"mode": "confounded", "n_processes": 6},
+            # Some truths exhaust the budget and are skipped.
+            {"orders": (7,), "n_processes": 8, "max_tries": 600, "mc_draws": 50},
+        ],
+    )
+    def test_chunk_size_does_not_change_outputs(self, monkeypatch, kw):
+        from varcausal import harness
+
+        def outputs():
+            res = run(tiny_cfg(bucket_size=2, **kw))
+            summaries = {k: summaries_to_csv(v) for k, v in res.summaries.items()}
+            return records_to_csv(res.records), summaries, res.metadata
+
+        default = outputs()
+        for size in (1, 3):
+            monkeypatch.setattr(harness, "CHUNK_PROCESSES", size)
+            assert outputs() == default
+        if "max_tries" in kw:
+            assert 0 < default[2]["skipped"] < kw["n_processes"]
+
+    def test_sampling_counts_in_metadata(self):
+        cfg = tiny_cfg(orders=(2, 5), order_pairs=((3, 5),), n_processes=6)
+        sampling = run(cfg).metadata["sampling"]
+        assert set(sampling) == {"2", "5"}
+        for order, tally in sampling.items():
+            assert set(tally) == {"drawn", "step_down_removed"}
+            # At least one candidate per process, two order-5 blocks.
+            assert tally["drawn"] >= (12 if order == "5" else 6)
+            assert tally["step_down_removed"] < tally["drawn"]
+        assert run(cfg).metadata["sampling"] == sampling
+        confounded = run(tiny_cfg(mode="confounded", n_processes=4)).metadata["sampling"]
+        assert confounded["1"]["step_down_removed"] == 0
 
 
 class TestFitCounters:

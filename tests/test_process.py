@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import linalg, signal
 
+from varcausal import process
 from varcausal.companion import build_companion, spectrum
 from varcausal.errors import BadInputError, NumericalError
 from varcausal.process import (
@@ -22,6 +23,8 @@ from varcausal.process import (
     empirical_autocov,
     exact_autocov,
     is_stationary,
+    prepare_models,
+    rejection_sample_block,
     rejection_sample_stable,
     simulate,
     stationary_window,
@@ -359,6 +362,84 @@ class TestExactAutocov:
             assert lam_min >= (1.0 / (1 + delta) ** (2 * p)) * (1 - 1e-9)
 
 
+class TestPrepareModels:
+    """The stacked set-up gives each model the bits of a set-up of its own,
+    and those are the bits of the plain per-model library calls."""
+
+    @staticmethod
+    def _models(p, d, count=9):
+        rng = np.random.default_rng(1000 * d + p)
+        models = []
+        for k in range(count):
+            raw = rng.standard_normal((p, d, d))
+            radius = (0.3, 0.9, 0.999)[k % 3]
+            scale = radius / spectrum(build_companion(list(raw))).max_modulus
+            models.append(
+                VarModel.from_coeffs([b * scale ** (l + 1) for l, b in enumerate(raw)], 0.5 + k)
+            )
+        if p == 1:  # I - C kron C is diagonal (scalar models: 1 x 1)
+            models.append(VarModel.from_coeffs([np.diag([0.5, -0.3][:d])]))
+        return models
+
+    @staticmethod
+    def _fresh(models):
+        return [VarModel.from_coeffs(m.coeffs, m.noise_variance) for m in models]
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [*range(1, 10), 10, 12])
+    def test_stacked_equals_one_at_a_time(self, p, d):
+        stacked = self._models(p, d)
+        prepare_models(stacked)
+        for model, alone in zip(stacked, self._fresh(stacked)):
+            # Reading the properties of a fresh model sets up one model.
+            want_eig = np.linalg.eigvals(alone.companion.dense)
+            want_eig = want_eig[np.argsort(-np.abs(want_eig), kind="stable")]
+            for spec in (model.spectrum, alone.spectrum):
+                np.testing.assert_array_equal(spec.eigenvalues, want_eig)
+                assert spec.eigenvalues.dtype == want_eig.dtype
+            assert (model.spectrum.max_modulus, model.spectrum.min_gap) == (
+                alone.spectrum.max_modulus, alone.spectrum.min_gap
+            )
+            assert model.spectrum.char_residual == alone.spectrum.char_residual
+            noise = np.zeros_like(alone.companion.dense)
+            noise[:d, :d] = alone.noise_variance * np.eye(d)
+            want_state = linalg.solve_discrete_lyapunov(alone.companion.dense, noise)
+            want_state = 0.5 * (want_state + want_state.T)
+            np.testing.assert_array_equal(model.state_cov, alone.state_cov)
+            np.testing.assert_array_equal(model.state_cov, want_state)
+            window, alone_window = model.autocov(p), alone.autocov(p)
+            np.testing.assert_array_equal(window.dense, alone_window.dense)
+            w, v = np.linalg.eigh(alone_window.dense)
+            want_root = v * np.sqrt(np.clip(w, 0.0, None)) @ v.T
+            np.testing.assert_array_equal(window.root, alone_window.root)
+            np.testing.assert_array_equal(window.root, want_root)
+            for arr in (model.spectrum.eigenvalues, model.state_cov, window.root):
+                assert not arr.flags.writeable
+
+    def test_unstable_model_is_left_unset(self):
+        stable = VarModel.from_coeffs([0.5, 0.2])
+        unstable = VarModel.from_coeffs([1.2, 0.1])
+        prepare_models([stable, unstable])
+        assert {"spectrum", "state_cov"} <= set(vars(stable))
+        assert "root" in vars(stable.autocov(2))
+        assert "spectrum" in vars(unstable) and "state_cov" not in vars(unstable)
+        with pytest.raises(NumericalError):
+            unstable.state_cov
+        assert ("autocov", 2) not in unstable._by_length
+
+    def test_cached_values_are_not_recomputed(self, monkeypatch):
+        models = self._models(3, 1)
+        prepare_models(models)
+        calls = []
+        for name in ("_spectra", "_state_covs", "_psd_roots"):
+            monkeypatch.setattr(process, name, lambda *a, name=name: calls.append(name))
+        prepare_models(models)
+        for model in models:
+            model.spectrum, model.state_cov, model.autocov(3).root
+        assert calls == []
+
+
 class TestEmpiricalAutocov:
     def test_white_noise(self):
         path = simulate(VarModel.from_coeffs([0.0]), 1_000_000, 4)
@@ -484,6 +565,61 @@ class TestRejectionSampling:
             for a, b in zip(got.coeffs, want):
                 np.testing.assert_array_equal(a, b)
             assert lib_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "p, d, lo, hi, max_tries",
+        [
+            (3, 1, -2.0, 2.0, 1000),  # the last batch of 104 rows is partial
+            (7, 1, -2.0, 2.0, 700),  # some generators exhaust the budget
+            (5, 1, -2.0, 2.0, 100_000),
+            (2, 2, -1.0, 1.0, 300),
+            (1, 2, -2.0, 2.0, 50),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [process._SAMPLE_ROWS, 200])
+    def test_block_matches_one_generator_at_a_time(self, monkeypatch, p, d, lo, hi, max_tries, rows):
+        # Each generator's model, final state and counts are those of drawing
+        # alone, and the eigenvalue-only sampler draws the same model.  A
+        # 200-row cap splits every round into several calls, and a batch above
+        # it into calls of one generator.
+        monkeypatch.setattr(process, "_SAMPLE_ROWS", rows)
+        seeds = range(40)
+        block_rngs = [np.random.default_rng(s) for s in seeds]
+        tally = dict.fromkeys(process.SAMPLE_COUNTS, 0)
+        alone_tally = dict.fromkeys(process.SAMPLE_COUNTS, 0)
+        got = rejection_sample_block(p, d, lo, hi, block_rngs, max_tries, 0.5, tally=tally)
+        for seed, model, block_rng in zip(seeds, got, block_rngs):
+            alone_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            (want,) = rejection_sample_block(
+                p, d, lo, hi, [alone_rng], max_tries, 0.5, tally=alone_tally
+            )
+            try:
+                ref = _eigvals_only_sample(p, d, lo, hi, ref_rng, max_tries)
+            except NumericalError:
+                ref = None
+            assert (model is None) == (want is None) == (ref is None)
+            if model is not None:
+                assert model.noise_variance == 0.5
+                for a, b, c in zip(model.coeffs, want.coeffs, ref):
+                    np.testing.assert_array_equal(a, b)
+                    np.testing.assert_array_equal(a, c)
+            state = block_rng.bit_generator.state
+            assert state == alone_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert tally == alone_tally
+        assert tally["step_down_removed"] <= tally["drawn"]
+        if d > 1:
+            assert tally["step_down_removed"] == 0
+        if p == 7:
+            assert any(m is None for m in got) and any(m is not None for m in got)
+
+    def test_tally_counts_rows(self):
+        # Order 1 at one try: one row per generator, kept exactly when the
+        # step-down does not prove it unstable (|a_1| < 1 is the whole test).
+        tally = dict.fromkeys(process.SAMPLE_COUNTS, 0)
+        rngs = [np.random.default_rng(s) for s in range(200)]
+        models = rejection_sample_block(1, 1, -2.0, 2.0, rngs, 1, tally=tally)
+        kept = sum(m is not None for m in models)
+        assert tally == {"drawn": 200, "step_down_removed": 200 - kept}
 
 
 def _max_moduli(coeffs: np.ndarray) -> np.ndarray:
