@@ -27,13 +27,12 @@ import numpy as np
 from .companion import _real_part, complete_homogeneous, elementary_symmetric
 from .errors import BadInputError, NumericalError
 from .interventions import InterventionSpec
-from .process import AutocovMatrix, SamplePath, VarModel
+from .process import AutocovMatrix, SamplePath, VarModel, symmetric_eigenvalues, unit_diagonal
 from .risk import (
     ModelPair,
     causal_risk,
     risk_difference,
     stat_risk,
-    _lag_matrix,
     _squared_errors,
     _truncated_mean,
 )
@@ -77,12 +76,15 @@ def _report(name: str, value: float, lhs: float, inputs: dict) -> BoundReport:
 
 
 def condition_number(cov: AutocovMatrix | np.ndarray) -> float:
-    """Ratio of extreme eigenvalues; ``inf`` when numerically singular."""
-    dense = cov.dense if isinstance(cov, AutocovMatrix) else np.asarray(cov, dtype=float)
-    try:
-        eig = np.linalg.eigvalsh(dense)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue solver failed on covariance: {exc}") from exc
+    """Ratio of extreme eigenvalues; ``inf`` when numerically singular
+    (``lam_min < 1e-12 lam_max``).  An ``AutocovMatrix`` keeps its eigenvalues,
+    so its condition number costs one ``eigvalsh`` however often it is asked."""
+    if isinstance(cov, AutocovMatrix):
+        eig = cov.eigenvalues
+    else:
+        (eig,) = symmetric_eigenvalues([np.asarray(cov, dtype=float)])
+        if isinstance(eig, NumericalError):
+            raise eig
     lam_min, lam_max = float(eig[0]), float(eig[-1])
     if lam_max <= 0:
         raise NumericalError("covariance matrix has no positive eigenvalues")
@@ -93,9 +95,9 @@ def condition_number(cov: AutocovMatrix | np.ndarray) -> float:
 
 def autocorrelation(cov: AutocovMatrix | np.ndarray) -> np.ndarray:
     """Rescale a covariance to unit diagonal."""
-    dense = cov.dense if isinstance(cov, AutocovMatrix) else np.asarray(cov, dtype=float)
-    scale = 1.0 / np.sqrt(np.diag(dense))
-    return dense * scale[:, None] * scale[None, :]
+    if isinstance(cov, AutocovMatrix):
+        return cov.correlation.dense
+    return unit_diagonal(np.asarray(cov, dtype=float))
 
 
 def prop1_bound(pair: ModelPair, omega: int, component: int = 1) -> BoundReport:
@@ -330,11 +332,12 @@ def lag_window_blocks(path: SamplePath, p: int, scheme: BlockScheme) -> np.ndarr
         raise BadInputError(f"path of length {x.shape[0]} shorter than scheme n = {scheme.n}")
     if x.shape[0] < p:
         raise BadInputError("path too short for the lag order")
-    lagged = _lag_matrix(x, p)  # row s <-> window ending at x[s + p - 1]
     rows = []
     for j in range(scheme.mu):
         end = (2 * j) * scheme.m + scheme.m - 1
-        rows.append(lagged[max(end - (p - 1), 0)])
+        start = max(end - (p - 1), 0)
+        # Row ``start`` of ``_lag_matrix(x, p)``: x[start + p - 1], ..., x[start].
+        rows.append(x[start : start + p][::-1].ravel())
     return np.stack(rows)
 
 
@@ -371,6 +374,26 @@ def rademacher_estimate(
         signs = rng.integers(0, 2, size=(draws, mu)) * 2 - 1
         mean_norm = float(np.linalg.norm(signs @ z, axis=1).mean())
     return 4.0 * math.sqrt(m_trunc) * radius * mean_norm / mu
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a 1-D float array (numpy's default linear
+    method) in the same floating-point steps, without its dispatch, which
+    took about a third of a thm1 evaluation: the order statistics around
+    ``(n - 1) q`` from one partition, then numpy's two-sided lerp."""
+    n = values.size
+    index = (n - 1) * q
+    if index >= n - 1:  # numpy takes the maximum, with gamma measured from -1
+        lo, hi, gamma = n - 1, n - 1, index + 1.0
+    else:
+        lo = math.floor(index)
+        hi, gamma = lo + 1, index - lo
+    part = np.partition(values, sorted({0, lo, hi, n - 1}))
+    if math.isnan(part[-1]):  # NaNs sort last and make the quantile NaN
+        return math.nan
+    a, b = float(part[lo]), float(part[hi])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def thm1_bound(
@@ -420,7 +443,7 @@ def thm1_bound(
     # truncated empirical risk.
     sq = _squared_errors(fitted, path, omega)
     if m_trunc is None:
-        m_trunc = float(max(np.quantile(sq, 0.999), 1e-12))
+        m_trunc = float(max(_quantile(sq, 0.999), 1e-12))
     if radius is None:
         radius = max(1.0, float(np.linalg.norm(np.concatenate([b.ravel() for b in fitted.coeffs]))))
 

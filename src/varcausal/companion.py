@@ -117,21 +117,35 @@ def build_companion(blocks_or_model, order: int | None = None) -> CompanionMatri
     CompanionMatrix
     """
     blocks = _as_blocks(blocks_or_model)
-    d = blocks[0].shape[0]
-    p = len(blocks)
-    if order is not None:
-        if order < p:
-            raise BadInputError(f"target order {order} is below the model order {p}")
-        blocks = blocks + [np.zeros((d, d))] * (order - p)
-        p = order
+    if order is not None and order < len(blocks):
+        raise BadInputError(f"target order {order} is below the model order {len(blocks)}")
+    (comp,) = companions([(blocks, order)])
+    return comp
 
-    n = d * p
-    dense = np.zeros((n, n))
-    for l, b in enumerate(blocks):
-        dense[:d, l * d : (l + 1) * d] = b
-    if p > 1:
-        dense[d:, : d * (p - 1)] = np.eye(d * (p - 1))
-    return CompanionMatrix(d=d, p=p, blocks=tuple(b.copy() for b in blocks), dense=dense)
+
+def companions(items) -> list[CompanionMatrix]:
+    """:func:`build_companion` of each ``(blocks, order)`` in ``items``, for
+    blocks already validated; ``order`` ``None`` is the blocks' own order.
+
+    Items of one shape and order are filled into one stacked array, whose
+    members become the companions' ``dense`` matrices.
+    """
+    out: list = [None] * len(items)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, (blocks, order) in enumerate(items):
+        p = len(blocks)
+        groups.setdefault((blocks[0].shape[0], p, p if order is None else order), []).append(i)
+    for (d, p, order), idx in groups.items():
+        n = d * order
+        dense = np.zeros((len(idx), n, n))
+        blocks = np.zeros((len(idx), order, d, d))
+        blocks[:, :p] = [items[i][0] for i in idx]
+        dense[:, :d, :] = blocks.transpose(0, 2, 1, 3).reshape(len(idx), d, n)
+        if order > 1:
+            dense[:, d:, : d * (order - 1)] = np.eye(d * (order - 1))
+        for i, mat, padded in zip(idx, dense, blocks):
+            out[i] = CompanionMatrix(d=d, p=order, blocks=tuple(padded), dense=mat)
+    return out
 
 
 def matrix_power(comp: CompanionMatrix | np.ndarray, power: int) -> np.ndarray:
@@ -146,21 +160,31 @@ def matrix_power(comp: CompanionMatrix | np.ndarray, power: int) -> np.ndarray:
     return np.linalg.matrix_power(dense, int(power))
 
 
-def _char_residual(comp: CompanionMatrix, eigenvalues: np.ndarray) -> float:
-    """Max residual of det|I lam^p - A_1 lam^(p-1) - ... - A_p| over the spectrum."""
-    d, p = comp.d, comp.p
-    scale = 1.0 + max(float(np.abs(b).max()) for b in comp.blocks)
-    denom = (1.0 + np.abs(eigenvalues)) ** (d * p) * scale**d
+def _char_residuals(
+    comps: Sequence[CompanionMatrix], eigs: np.ndarray, real: np.ndarray
+) -> np.ndarray:
+    """Max residual of det|I lam^p - A_1 lam^(p-1) - ... - A_p| over each
+    companion's spectrum, relative to its scale; ``eigs`` stacks the spectra of
+    companions of one shape, the members flagged ``real`` having zero imaginary
+    parts, and each residual has the bits of the member's own evaluation."""
+    d, p = comps[0].d, comps[0].p
+    blocks = np.array([comp.blocks for comp in comps])  # (count, p, d, d)
+    scale = 1.0 + np.abs(blocks).max(axis=(1, 2, 3))
+    denom = (1.0 + np.abs(eigs)) ** (d * p) * (scale**d)[:, None]
     if d == 1:
-        poly = np.concatenate(([1.0], [-b[0, 0] for b in comp.blocks]))
-        vals = np.abs(np.polyval(poly, eigenvalues))
-        return float((vals / denom).max())
-    worst = 0.0
-    for lam, den in zip(eigenvalues, denom):
-        m = np.eye(d, dtype=complex) * lam**p
-        for l, b in enumerate(comp.blocks, start=1):
-            m -= b * lam ** (p - l)
-        worst = max(worst, abs(np.linalg.det(m)) / den)
+        # np.polyval's Horner steps on [1, -a_1, ..., -a_p].
+        vals = np.zeros_like(eigs)
+        for pv in np.concatenate([np.ones((len(comps), 1)), -blocks[:, :, 0, 0]], axis=1).T:
+            vals = vals * eigs + pv[:, None]
+        return (np.abs(vals) / denom).max(axis=1)
+    worst = np.zeros(len(comps))
+    for k, (comp, row) in enumerate(zip(comps, eigs)):
+        # A real lam**p may round otherwise than a complex one.
+        for lam, den in zip(row.real if real[k] else row, denom[k]):
+            m = np.eye(d, dtype=complex) * lam**p
+            for l, b in enumerate(comp.blocks, start=1):
+                m -= b * lam ** (p - l)
+            worst[k] = max(worst[k], abs(np.linalg.det(m)) / den)
     return worst
 
 
@@ -186,15 +210,15 @@ def spectra(
 ) -> list[Spectrum | NumericalError]:
     """The :func:`spectrum` of each companion, or the ``NumericalError`` it raises.
 
-    Companions of one size share one stacked ``eigvals`` call, which gives
-    each matrix the bits of its own call; sorting, the gap and the residual
-    check run per companion.
+    Companions of one shape share one stacked ``eigvals`` call, which gives
+    each matrix the bits of its own call; the sort, the gap and the residual
+    check run elementwise over the stack, each member as it would alone.
     """
     out: list[Spectrum | NumericalError | None] = [None] * len(comps)
-    by_size: dict[int, list[int]] = {}
+    by_shape: dict[tuple[int, int], list[int]] = {}
     for i, comp in enumerate(comps):
-        by_size.setdefault(comp.size, []).append(i)
-    for idx in by_size.values():
+        by_shape.setdefault((comp.d, comp.p), []).append(i)
+    for idx in by_shape.values():
         try:
             eigs = np.linalg.eigvals(np.stack([comps[i].dense for i in idx]))
         except np.linalg.LinAlgError as exc:
@@ -204,32 +228,42 @@ def spectra(
                 continue
             out[idx[0]] = NumericalError(f"eigenvalue solver failed: {exc}")
             continue
-        for i, eig in zip(idx, eigs):
-            out[i] = _checked_spectrum(comps[i], eig, distinct_tol)
+        for i, spec in zip(idx, _checked_spectra([comps[i] for i in idx], eigs, distinct_tol)):
+            out[i] = spec
     return out
 
 
-def _checked_spectrum(comp: CompanionMatrix, eig: np.ndarray, distinct_tol: float):
-    if np.iscomplexobj(eig) and not eig.imag.any():
-        eig = eig.real  # a stack is complex if any member is; one call would be real
-    eig = eig[np.argsort(-np.abs(eig), kind="stable")]
-    if len(eig) > 1:
-        diffs = np.abs(eig[:, None] - eig[None, :])
-        min_gap = float(diffs[~np.eye(len(eig), dtype=bool)].min())
+def _checked_spectra(comps, eigs: np.ndarray, distinct_tol: float) -> list:
+    """Sort, gap and residual check of the stacked spectra ``eigs`` (count, n)
+    of companions of one shape, each member as its own call would give it."""
+    count, n = eigs.shape
+    # A stack is complex if any member is; a member whose eigenvalues are all
+    # real is made real, as its own call returns it.  Its zero imaginary parts
+    # change no modulus, gap or residual below.
+    real = ~eigs.imag.any(axis=1) if np.iscomplexobj(eigs) else np.zeros(count, dtype=bool)
+    eigs = np.take_along_axis(eigs, np.argsort(-np.abs(eigs), axis=1, kind="stable"), axis=1)
+    if n > 1:
+        diffs = np.abs(eigs[:, :, None] - eigs[:, None, :])
+        gaps = diffs[:, ~np.eye(n, dtype=bool)].min(axis=1)
     else:
-        min_gap = math.inf
-    residual = _char_residual(comp, eig)
-    if residual > CHAR_RESIDUAL_TOL:
-        return NumericalError(
-            f"characteristic polynomial residual {residual:.3e} exceeds tolerance"
-        )
-    return Spectrum(
-        eigenvalues=eig,
-        max_modulus=float(np.abs(eig).max()) if len(eig) else 0.0,
-        distinct=min_gap > distinct_tol,
-        min_gap=min_gap,
-        char_residual=residual,
-    )
+        gaps = np.full(count, math.inf)
+    residuals = _char_residuals(comps, eigs, real)
+    moduli = np.abs(eigs).max(axis=1)
+    out: list = []
+    for eig, is_real, gap, residual, modulus in zip(eigs, real, gaps, residuals, moduli):
+        if residual > CHAR_RESIDUAL_TOL:
+            out.append(NumericalError(
+                f"characteristic polynomial residual {residual:.3e} exceeds tolerance"
+            ))
+            continue
+        out.append(Spectrum(
+            eigenvalues=eig.real if is_real else eig,
+            max_modulus=float(modulus),
+            distinct=bool(gap > distinct_tol),
+            min_gap=float(gap),
+            char_residual=float(residual),
+        ))
+    return out
 
 
 def _validate_partition(partition: Sequence[int]) -> tuple[int, ...]:

@@ -17,10 +17,18 @@ only in data:
                      fit as a scalar model; bounds are evaluated with
                      empirical inputs and violations are counted, not hidden.
 
+Processes run ``CHUNK_PROCESSES`` at a time.  A chunk's truths are sampled
+and set up together; each process then simulates its paths and fits them;
+then the fits' spectra, the companion powers, the window eigenvalues and the
+analytic risks of every record of the chunk are computed in stacked calls
+(:func:`risk.prepare_pairs`), and last each record reads them and adds its
+own draws: Monte Carlo, the empirical risk and the thm1 bound.
+
 Everything is a pure function of the config (including the master seed).
 Every process draws from its own generators, derived by counter-based
 splitting from the master seed and the process id, so its records depend on
-nothing else.
+nothing else; a stacked call gives each member the bits of its own call, so
+neither does the chunk size.
 """
 
 from __future__ import annotations
@@ -36,13 +44,11 @@ import numpy as np
 from . import seeding
 from .bounds import (
     admissible_block_scheme,
-    autocorrelation,
     condition_number,
     cor2_bound,
     prop1_bound,
     thm1_bound,
 )
-from .companion import matrix_power
 from .errors import ConfigError, NumericalError
 from .estimators import ESTIMATORS, OLS, FitResult, build_design, fit_cv, fit_ols
 from .interventions import InterventionSpec, marginal_variances
@@ -60,6 +66,7 @@ from .risk import (
     causal_risk,
     empirical_stat_risk,
     mc_causal_risk,
+    prepare_pairs,
     stat_risk,
     _draw_windows,
     _forward,
@@ -96,10 +103,17 @@ SUMMARY_FIELDS = ("kappa_mid", "max_diff", "mean_diff", "q90_diff", "bound", "co
 SWEEP_FIELDS = ("n_train", "q0", "q25", "q50", "q75", "q100", "mean", "std", "count")
 
 #: Per-run counts in ``metadata.json``: fits whose ``FitResult`` flags are set,
-#: and thm1 values that are NaN because ``thm1_bound`` refused the block scheme.
-RUN_COUNTERS = ("fits_nonconverged", "fits_rank_deficient", "thm1_nan")
+#: thm1 values that are NaN because ``thm1_bound`` refused the block scheme, and
+#: records whose window is numerically singular (a condition number of ``inf``:
+#: ``kappa`` or, for thm1, that of the window covariance).
+RUN_COUNTERS = ("fits_nonconverged", "fits_rank_deficient", "thm1_nan", "windows_singular")
 
-#: Processes whose truths are sampled and set up together (see ``run``).
+#: Why (process, training size) units were skipped, in ``metadata.json``'s
+#: ``skipped_by_reason``: the truth exhausted ``max_tries``, or simulating a
+#: path, a fit or the scoring raised ``NumericalError``.
+SKIP_REASONS = ("sampling", "simulation", "fit", "scoring")
+
+#: Processes whose truths are sampled, set up and scored together (see ``run``).
 CHUNK_PROCESSES = 64
 
 
@@ -275,18 +289,28 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _fit(
-    cfg: ExperimentConfig, train: SamplePath, p_fit: int, estimator: str, counts: dict
-) -> FitResult:
-    """Fit one training path and count the fit's flags into ``counts``."""
-    if estimator == OLS:
-        fit = fit_ols(build_design(train, p_fit))
-    else:
-        folds = max(2, min(cfg.cv_folds, train.n - p_fit))
-        fit = fit_cv(train, p_fit, estimator, folds=folds)
-    counts["fits_nonconverged"] += not fit.converged
-    counts["fits_rank_deficient"] += fit.rank_deficient
-    return fit
+def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int) -> list:
+    """Each estimator's fit of ``train``, in ``cfg.estimators`` order; a fit
+    that raises ``NumericalError`` ends the list with its error."""
+    fits: list = []
+    for estimator in cfg.estimators:
+        try:
+            if estimator == OLS:
+                fits.append(fit_ols(build_design(train, p_fit)))
+            else:
+                folds = max(2, min(cfg.cv_folds, train.n - p_fit))
+                fits.append(fit_cv(train, p_fit, estimator, folds=folds))
+        except NumericalError as exc:
+            fits.append(exc)
+            break
+    return fits
+
+
+def _spec(omega: int, regime: str, nu: int) -> InterventionSpec:
+    """The intervention a record of ``regime`` is scored under: component 1 at
+    the most recent window step, or at every step of the order-``nu`` window."""
+    lags = (0,) if regime == "single" else tuple(range(nu))
+    return InterventionSpec.averaged(omega, components=(1,), time_lags=lags)
 
 
 def _thm1_rhs(
@@ -335,13 +359,11 @@ def _standard_record(
     regime: str,
 ) -> ExperimentRecord:
     """One record of ``fit`` against the truth; ``pair`` is (truth, fit.model),
-    shared by every record of the process so its risks are computed once."""
+    shared by every record of the fit, and :func:`prepare_pairs` has filled its
+    risks and window eigenvalues."""
     truth = pair.truth
-    nu = pair.nu
-    corr = autocorrelation(pair.autocov())
-    kappa = condition_number(corr)
-    lags = (0,) if regime == "single" else tuple(range(nu))
-    spec = InterventionSpec.averaged(omega, components=(1,), time_lags=lags)
+    kappa = condition_number(pair.autocov().correlation)
+    spec = _spec(omega, regime, pair.nu)
 
     s_an = float(stat_risk(pair, omega).sum())
     g_an = float(causal_risk(pair, spec).sum())
@@ -397,41 +419,32 @@ def run(cfg: ExperimentConfig) -> RunResult:
     ``(b + 1) * n_processes - 1``.  Each process draws one truth and one test
     path, then, per training size, one training path that every estimator
     fits; each fit is scored in every (omega, regime) cell of
-    :func:`_cells`.  The truths are sampled and set up
-    ``CHUNK_PROCESSES`` at a time (see :func:`_truths`).  A (process, size)
-    unit whose sampling, fit or scoring raises ``NumericalError``, or whose
-    truth exhausts ``max_tries``, has no records and counts once in
-    ``skipped``.
+    :func:`_cells`.  The processes run ``CHUNK_PROCESSES`` at a time: their
+    truths are sampled and set up together (see :func:`_truths`), then each
+    process simulates and fits (:func:`_chunk_units`), then the risks and
+    window eigenvalues of every (fit, cell) of the chunk are computed in
+    stacked calls (:func:`prepare_pairs`), and last each unit is scored
+    (:func:`_score`).  A (process, size) unit whose truth exhausts
+    ``max_tries``, or whose simulation, fit or scoring raises
+    ``NumericalError``, has no records and counts once in ``skipped`` and
+    under its reason in ``skipped_by_reason``.
     """
     started = time.monotonic()
     sizes = [int(n) for n in cfg.sweep_train_sizes] if cfg.mode == "sampleSweep" else [cfg.n_train]
     per_size: list[list[ExperimentRecord]] = [[] for _ in sizes]
-    skipped = 0
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
     counts = dict.fromkeys(RUN_COUNTERS, 0)
     sampling: dict[str, dict] = {}
     for block, (p_fit, q_true, d) in enumerate(_blocks(cfg)):
         pids = range(block * cfg.n_processes, (block + 1) * cfg.n_processes)
         tally = sampling.setdefault(str(q_true), dict.fromkeys(SAMPLE_COUNTS, 0))
-        for pid, truth in _truths(cfg, pids, q_true, d, tally):
-            stage_rng = functools.partial(derive_rng, cfg.master_seed, pid)
-            if truth is None:
-                skipped += len(sizes)
-                continue
-            try:
-                test = simulate(
-                    truth, cfg.n_test, stage_rng(seeding.STAGE_TEST), init="stationary"
-                )
-            except NumericalError:
-                skipped += len(sizes)
-                continue
-            for n_train, recs in zip(sizes, per_size):
-                try:
-                    train = simulate(
-                        truth, n_train, stage_rng(seeding.STAGE_TRAIN), init="stationary"
-                    )
-                    recs.extend(_unit_records(cfg, pid, p_fit, truth, train, test, counts))
-                except NumericalError:
-                    skipped += 1
+        for chunk in _truths(cfg, pids, q_true, d, tally):
+            units = _chunk_units(cfg, chunk, p_fit, sizes, per_size, skipped)
+            prepare_pairs(
+                (pair, spec) for unit in units for pair in unit.pairs for spec in _specs(cfg, pair)
+            )
+            for unit in units:
+                _score(cfg, unit, p_fit, counts, skipped)
     for recs in per_size:
         recs.sort(key=lambda r: (r.process_id, r.estimator, r.omega, r.regime))
     records = [rec for recs in per_size for rec in recs]
@@ -444,6 +457,97 @@ def run(cfg: ExperimentConfig) -> RunResult:
     return RunResult(records=records, summaries=summaries, metadata=meta)
 
 
+@dataclass
+class _Unit:
+    """One (process, training size) unit between its fits and its scoring."""
+
+    pid: int
+    truth: VarModel
+    train: SamplePath
+    test: SamplePath
+    fits: list  # see _fits
+    pairs: list  # (truth, fit model) of each fit, outside confounded mode
+    records: list  # where the unit's records go
+
+
+def _chunk_units(
+    cfg: ExperimentConfig, chunk, p_fit: int, sizes, per_size, skipped: dict
+) -> list[_Unit]:
+    """Simulate and fit every (process, size) unit of ``chunk``, a list of
+    (process id, truth); units that fail here are counted in ``skipped``."""
+    confounded = cfg.mode == "confounded"
+    units = []
+    for pid, truth in chunk:
+        stage_rng = functools.partial(derive_rng, cfg.master_seed, pid)
+        if truth is None:
+            skipped["sampling"] += len(sizes)
+            continue
+        try:
+            test = simulate(truth, cfg.n_test, stage_rng(seeding.STAGE_TEST), init="stationary")
+        except NumericalError:
+            skipped["simulation"] += len(sizes)
+            continue
+        # A confounded analyst sees the first coordinate of the bivariate paths.
+        test = _observed(test) if confounded else test
+        for n_train, recs in zip(sizes, per_size):
+            try:
+                train = simulate(truth, n_train, stage_rng(seeding.STAGE_TRAIN), init="stationary")
+            except NumericalError:
+                skipped["simulation"] += 1
+                continue
+            train = _observed(train) if confounded else train
+            fits = _fits(cfg, train, p_fit)
+            pairs = [] if confounded else [
+                ModelPair(truth=truth, fitted=fit.model) for fit in fits if isinstance(fit, FitResult)
+            ]
+            units.append(_Unit(pid, truth, train, test, fits, pairs, recs))
+    return units
+
+
+def _observed(path: SamplePath) -> SamplePath:
+    return SamplePath(values=path.values[:, :1].copy(), seed=path.seed, burn_in=0)
+
+
+def _specs(cfg: ExperimentConfig, pair: ModelPair) -> list[InterventionSpec]:
+    """The interventions the records of ``pair`` read: each cell's, and the
+    single-step one that prop1 and cor2 read."""
+    return list(dict.fromkeys(
+        _spec(omega, r, pair.nu) for omega, regime in _cells(cfg) for r in (regime, "single")
+    ))
+
+
+def _score(cfg: ExperimentConfig, unit: _Unit, p_fit: int, counts: dict, skipped: dict) -> None:
+    """Score the fits of ``unit`` in order, counting each fit's flags just
+    before its records, as if it had been fit there; a fit error or a
+    ``NumericalError`` in scoring skips the whole unit."""
+    records, singular = [], 0
+    for k, fit in enumerate(unit.fits):
+        if isinstance(fit, NumericalError):
+            skipped["fit"] += 1
+            return
+        counts["fits_nonconverged"] += not fit.converged
+        counts["fits_rank_deficient"] += fit.rank_deficient
+        try:
+            if cfg.mode == "confounded":
+                rec = _confounded_record(cfg, unit, p_fit, fit, counts)
+                records.append(rec)
+                singular += math.isinf(rec.kappa)
+                continue
+            pair = unit.pairs[k]
+            for omega, regime in _cells(cfg):
+                rec = _standard_record(
+                    cfg, unit.pid, omega, pair, unit.train, unit.test, fit, counts, regime
+                )
+                records.append(rec)
+                # thm1 read the window covariance's condition number.
+                singular += math.isinf(rec.kappa) or math.isinf(condition_number(pair.autocov()))
+        except NumericalError:
+            skipped["scoring"] += 1
+            return
+    counts["windows_singular"] += singular
+    unit.records.extend(records)
+
+
 def _blocks(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
     """(fit order, true order, dimension) of each block of processes."""
     if cfg.mode == "confounded":
@@ -453,8 +557,8 @@ def _blocks(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
 
 
 def _truths(cfg: ExperimentConfig, pids: range, q_true: int, d: int, tally: dict):
-    """(process id, truth) of each process, the truth ``None`` when sampling
-    exhausts ``max_tries``.
+    """Each chunk's list of (process id, truth), the truth ``None`` when
+    sampling exhausts ``max_tries``.
 
     Each truth comes from its own process's generator.  A chunk of
     ``CHUNK_PROCESSES`` processes is sampled in one
@@ -470,7 +574,7 @@ def _truths(cfg: ExperimentConfig, pids: range, q_true: int, d: int, tally: dict
             max_tries=cfg.max_tries, noise_variance=cfg.noise_variance, tally=tally,
         )
         prepare_models([truth for truth in truths if truth is not None])
-        yield from zip(chunk, truths)
+        yield list(zip(chunk, truths))
 
 
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, str]]:
@@ -478,29 +582,6 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, str]]:
     if cfg.mode == "omegaSweep":
         return [(omega, regime) for omega in cfg.sweep_omegas for regime in ("single", "all")]
     return [(cfg.omega, "single")]
-
-
-def _unit_records(
-    cfg: ExperimentConfig,
-    pid: int,
-    p_fit: int,
-    truth: VarModel,
-    train: SamplePath,
-    test: SamplePath,
-    counts: dict,
-) -> list[ExperimentRecord]:
-    """Every record of one (process, training size) unit."""
-    if cfg.mode == "confounded":
-        return [_confounded_record(cfg, pid, p_fit, truth, train, test, counts)]
-    records = []
-    for estimator in cfg.estimators:
-        fit = _fit(cfg, train, p_fit, estimator, counts)
-        pair = ModelPair(truth=truth, fitted=fit.model)
-        for omega, regime in _cells(cfg):
-            records.append(
-                _standard_record(cfg, pid, omega, pair, train, test, fit, counts, regime)
-            )
-    return records
 
 
 def _summarize(cfg: ExperimentConfig, sizes, per_size) -> tuple[dict, int]:
@@ -538,29 +619,19 @@ def _sweep_summary(n_train: int, records) -> SweepSummary:
 
 
 def _confounded_record(
-    cfg: ExperimentConfig,
-    pid: int,
-    p_fit: int,
-    truth: VarModel,
-    train2: SamplePath,
-    test2: SamplePath,
-    counts: dict,
+    cfg: ExperimentConfig, unit: _Unit, p_fit: int, fit: FitResult, counts: dict
 ) -> ExperimentRecord:
-    """Hidden-confounder record: fit and score the scalar model on the first
-    coordinate of bivariate paths.
+    """Hidden-confounder record: score the scalar model ``fit`` of the first
+    coordinate of bivariate paths (``unit`` holds that coordinate's paths).
 
     The condition number is estimated from the observed test sample, the
     causal risk by do-simulation on the full bivariate truth, and the bounds
     are evaluated with these empirical inputs; their violations are counted
     in the metadata.
     """
-    estimator = cfg.estimators[0]
-    train = SamplePath(values=train2.values[:, :1].copy(), seed=train2.seed, burn_in=0)
-    test = SamplePath(values=test2.values[:, :1].copy(), seed=test2.seed, burn_in=0)
-    fit = _fit(cfg, train, p_fit, estimator, counts)
-
+    pid, truth, train, test = unit.pid, unit.truth, unit.train, unit.test
     emp_cov = empirical_autocov(test, p_fit)
-    kappa = condition_number(autocorrelation(emp_cov))
+    kappa = condition_number(emp_cov.correlation)
     s_emp = empirical_stat_risk(fit.model, test, cfg.omega)
     g_mc = _confounded_mc_risk(
         cfg, truth, fit.model, p_fit,
@@ -576,7 +647,7 @@ def _confounded_record(
         process_id=pid,
         order_true=1,
         order_fit=p_fit,
-        estimator=estimator,
+        estimator=cfg.estimators[0],
         regime="confounded",
         kappa=kappa,
         delta_true=delta_true,
@@ -616,7 +687,7 @@ def _confounded_mc_risk(
     targets = _forward(truth, cut, cfg.omega, noise)[:, 0]
     # The scalar model sees the observed coordinate of each window step.
     obs = cut[:, 0 :: truth.d][:, :p_fit]
-    weights = matrix_power(fitted.companion, cfg.omega)[0]
+    weights = fitted.power(cfg.omega)[0]
     preds = obs @ weights
     return float(((targets - preds) ** 2).mean())
 
@@ -658,7 +729,7 @@ def bucket_by_kappa(records, bucket_size: int) -> tuple[list[BucketSummary], int
 
 
 def _metadata(
-    cfg: ExperimentConfig, records, skipped: int, bucket_dropped, counts: dict, sampling: dict
+    cfg: ExperimentConfig, records, skipped: dict, bucket_dropped, counts: dict, sampling: dict
 ) -> dict:
     # Confounded runs have no analytic causal risk; thm1 bounds the MC one.
     g_field = "g_mc" if cfg.mode == "confounded" else "g_analytic"
@@ -679,7 +750,8 @@ def _metadata(
     return {
         "config": cfg.to_mapping(),
         "n_records": len(records),
-        "skipped": skipped,
+        "skipped": sum(skipped.values()),
+        "skipped_by_reason": skipped,
         "bucket_dropped_tail": int(bucket_dropped),
         "prop1_violations": prop1_viol,
         "thm1_violations": thm1_viol,

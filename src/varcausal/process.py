@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg.blas import dtbsv
 
-from .companion import CompanionMatrix, Spectrum, build_companion, spectra
+from .companion import CompanionMatrix, Spectrum, companions, spectra
 from .errors import BadInputError, NumericalError
 from .seeding import as_rng
 
@@ -63,9 +63,10 @@ class VarModel:
     constructor helpers).
 
     The companion matrix, its spectrum, the stationary state covariance and the
-    per-length padded lifts and window autocovariances are cached once per model.
-    :func:`prepare_models` fills the spectrum, state covariance and order-p
-    window root of many models in stacked calls; on a cache miss each property
+    per-order padded lifts, their powers and window autocovariances are cached
+    once per model.  :func:`prepare_models` fills the spectrum, state
+    covariance and order-p window root of many models in stacked calls, and
+    :func:`prepare_powers` their lifts and powers; on a cache miss each property
     runs the same code on its one model.
     """
 
@@ -124,14 +125,21 @@ class VarModel:
         """Stationary covariance of the stacked state ``(x_t, ..., x_{t-p+1})``."""
         return _one(_state_covs([self]))
 
-    def _memo(self, key: tuple[str, int], build):
+    def _memo(self, key: tuple, build):
         if key not in self._by_length:
             self._by_length[key] = build()
         return self._by_length[key]
 
     def lifted(self, order: int) -> CompanionMatrix:
         """Companion padded with zero blocks to ``order >= p``."""
-        return self._memo(("lifted", order), lambda: _frozen_companion(self.coeffs, order))
+        if order < self.p:
+            raise BadInputError(f"target order {order} is below the model order {self.p}")
+        return self._memo(("lifted", order), lambda: _one(_lifts([(self, ("lifted", order))])))
+
+    def power(self, omega: int, order: int | None = None) -> np.ndarray:
+        """``omega``-th power of the companion lifted to ``order`` (default ``p``)."""
+        key = ("power", self.p if order is None else order, omega)
+        return self._memo(key, lambda: _one(_powers([(self, key)])))
 
     def autocov(self, n: int) -> AutocovMatrix:
         """Exact stationary autocovariance of ``n`` stacked observations."""
@@ -250,11 +258,23 @@ class AutocovMatrix:
         """Symmetric PSD square root of ``dense`` (read-only)."""
         return _one(_psd_roots([self]))
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``dense`` (read-only)."""
+        return _one(symmetric_eigenvalues([self.dense]))
 
-def _frozen_companion(coeffs, order: int) -> CompanionMatrix:
-    comp = build_companion(coeffs, order=order)
-    comp.dense.setflags(write=False)
-    return comp
+    @cached_property
+    def correlation(self) -> "AutocovMatrix":
+        """The window rescaled to unit diagonal (its ``dense`` is read-only)."""
+        dense = unit_diagonal(self.dense)
+        dense.setflags(write=False)
+        return AutocovMatrix(n=self.n, d=self.d, dense=dense)
+
+
+def unit_diagonal(dense: np.ndarray) -> np.ndarray:
+    """Rescale a covariance, or a stack of them, to unit diagonal."""
+    scale = 1.0 / np.sqrt(np.diagonal(dense, axis1=-2, axis2=-1))
+    return dense * scale[..., :, None] * scale[..., None, :]
 
 
 def is_stationary(model: VarModel, margin: float = 0.0) -> tuple[bool, Spectrum]:
@@ -399,7 +419,7 @@ def prepare_models(models) -> None:
     A model whose spectrum check fails, or that is unstable, keeps the values
     that depend on it unset, so reading them raises as it always did.
     """
-    _fill(models, "spectrum", _spectra)
+    prepare_spectra(models)
     _fill([m for m in models if "spectrum" in vars(m)], "state_cov", _state_covs)
     windows = [m.autocov(m.p) for m in models if "state_cov" in vars(m)]
     _fill(windows, "root", _psd_roots)
@@ -412,6 +432,87 @@ def _fill(objs, name: str, compute) -> None:
     for obj, value in zip(todo, compute(todo) if todo else ()):
         if not isinstance(value, NumericalError):
             vars(obj)[name] = value  # where cached_property would keep it
+
+
+def prepare_spectra(models) -> None:
+    """Fill each model's companion and spectrum: one stacked fill and one
+    stacked ``eigvals`` per shape (see :func:`companion.spectra`)."""
+    prepare_powers([(m, m.p, None) for m in models])
+    _fill(models, "spectrum", _spectra)
+
+
+def prepare_powers(items) -> None:
+    """Fill ``model.lifted(order)`` and, unless ``omega`` is ``None``,
+    ``model.power(omega, order)`` for each ``(model, order, omega)``.
+
+    Lifts of one shape and order share one stacked fill, and powers of one
+    size and exponent one stacked ``np.linalg.matrix_power``, which gives each
+    matrix the bits of its own call.
+    """
+    _fill_memo([(m, ("lifted", order)) for m, order, _ in items], _lifts)
+    _fill_memo([(m, ("power", order, w)) for m, order, w in items if w is not None], _powers)
+
+
+def _fill_memo(items, compute) -> None:
+    """Cache ``compute``'s value under ``key`` for each ``(model, key)`` not yet
+    cached (each once)."""
+    todo = list({(id(m), key): (m, key) for m, key in items if key not in m._by_length}.values())
+    for (model, key), value in zip(todo, compute(todo) if todo else ()):
+        model._by_length[key] = value
+
+
+def _lifts(items) -> list:
+    comps = companions([(model.coeffs, key[1]) for model, key in items])
+    for comp in comps:
+        comp.dense.setflags(write=False)
+    return comps
+
+
+def _powers(items) -> list:
+    out: list = [None] * len(items)
+    lifts = [model.lifted(order).dense for model, (_, order, _) in items]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (_, (_, _, omega)) in enumerate(items):
+        groups.setdefault((lifts[i].shape[0], omega), []).append(i)
+    for (_, omega), idx in groups.items():
+        stack = np.stack([lifts[i] for i in idx])
+        for i, power in zip(idx, np.linalg.matrix_power(stack, omega)):
+            power.setflags(write=False)
+            out[i] = power
+    return out
+
+
+def prepare_windows(windows) -> None:
+    """Fill the ``eigenvalues`` of each ``AutocovMatrix`` and of its
+    ``correlation``: one stacked ``eigvalsh`` per size, which gives each
+    matrix the bits of its own call."""
+    windows = list({id(w): w for w in windows}.values())
+    _fill(windows + [w.correlation for w in windows], "eigenvalues",
+          lambda todo: symmetric_eigenvalues([w.dense for w in todo]))
+
+
+def symmetric_eigenvalues(denses) -> list:
+    """Ascending eigenvalues (read-only) of each symmetric matrix, or the
+    ``NumericalError`` its solver raised; matrices of one size share one
+    stacked ``eigvalsh``."""
+    out: list = [None] * len(denses)
+    by_size: dict[int, list[int]] = {}
+    for i, dense in enumerate(denses):
+        by_size.setdefault(dense.shape[0], []).append(i)
+    for idx in by_size.values():
+        try:
+            eigs = np.linalg.eigvalsh(np.stack([denses[i] for i in idx]))
+        except np.linalg.LinAlgError as exc:
+            if len(idx) > 1:  # one call each finds the matrix that failed
+                for i in idx:
+                    out[i] = symmetric_eigenvalues([denses[i]])[0]
+                continue
+            out[idx[0]] = NumericalError(f"eigenvalue solver failed on covariance: {exc}")
+            continue
+        for i, eig in zip(idx, eigs):
+            eig.setflags(write=False)
+            out[i] = eig
+    return out
 
 
 def _one(values):

@@ -13,6 +13,11 @@ where ``M`` is the stationary window covariance for the observational risk
 and its intervened counterpart for the causal risk.  The analytic paths below
 all evaluate this expression; the Monte-Carlo paths simulate it and serve as
 independent oracles.
+
+Each pair memoizes ``D``, the floors, the intervened windows and the risks.
+:func:`prepare_pairs` fills them for many pairs at once, with one stacked
+``matrix_power`` per companion size and horizon and one ``einsum`` per shape;
+reading a value that was not prepared runs the same code for that one pair.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .companion import matrix_power
 from .errors import BadInputError, NumericalError
 from .interventions import (
     ATOMIC_AVERAGED,
@@ -33,7 +37,14 @@ from .interventions import (
     interventional_cov,
     marginal_variances,
 )
-from .process import AutocovMatrix, SamplePath, VarModel
+from .process import (
+    AutocovMatrix,
+    SamplePath,
+    VarModel,
+    prepare_powers,
+    prepare_spectra,
+    prepare_windows,
+)
 from .seeding import as_rng
 
 
@@ -43,7 +54,9 @@ class ModelPair:
 
     The two orders may differ; both companions are padded with zero blocks to
     the common order ``nu = max(p, q)`` so their powers live in the same
-    space.
+    space.  Row differences, noise floors, intervened windows and risks are
+    memoized per pair; :func:`prepare_pairs` fills them for many pairs in
+    stacked calls, and on a miss each is built by the same code for one pair.
     """
 
     truth: VarModel
@@ -56,13 +69,11 @@ class ModelPair:
                 f"dimension mismatch: truth d = {self.truth.d}, fitted d = {self.fitted.d}"
             )
 
-    def _memo(self, key, build) -> np.ndarray:
-        """Build once per pair; the shared array is made read-only."""
-        if key not in self._cache:
-            value = build()
-            value.setflags(write=False)
-            self._cache[key] = value
-        return self._cache[key]
+    def _memo(self, name: str, arg, compute) -> np.ndarray:
+        """The value ``compute([(self, arg)])`` builds, once per pair."""
+        if (name, arg) not in self._cache:
+            _fill_pairs([(self, arg)], name, compute, strict=True)
+        return self._cache[(name, arg)]
 
     @property
     def d(self) -> int:
@@ -80,19 +91,127 @@ class ModelPair:
         """Top-block row difference ``(A^w - Ah^w)`` of shape (d, d * nu)."""
         if omega < 1:
             raise BadInputError("omega must be a positive integer")
-
-        def build():
-            aw = matrix_power(self.truth.lifted(self.nu), omega)
-            ahw = matrix_power(self.fitted.lifted(self.nu), omega)
-            return aw[: self.d] - ahw[: self.d]
-
-        return self._memo(("delta", omega), build)
+        return self._memo("delta", omega, _deltas)
 
     def intervened_cov(self, spec: InterventionSpec) -> np.ndarray:
         """The window covariance of :meth:`autocov` under an atomic intervention."""
-        return self._memo(
-            ("intervened", spec), lambda: interventional_cov(self.autocov(), spec).dense
-        )
+        return self._memo("intervened", spec, _intervened)
+
+
+def prepare_pairs(items) -> None:
+    """Fill the values the records of each ``(pair, spec)`` in ``items`` read.
+
+    ``spec`` is an atomic intervention.  Each pair gets its fit's spectrum,
+    the powers of both lifted companions at ``spec.omega`` (and of the fit's
+    own companion), the eigenvalues of its window and of the window's
+    correlation, and its memoized row difference, noise floor, statistical
+    risk, intervened window and causal risk.  Values of one shape share one
+    stacked call each, which gives every pair the bits of its own calls.  A
+    pair whose value fails keeps it unset, so reading it raises as it would
+    have alone.
+    """
+    items = list(items)
+    pairs = list({id(pair): pair for pair, _ in items}.values())
+    horizons = list({(id(pair), spec.omega): (pair, spec.omega) for pair, spec in items}.values())
+    prepare_powers(
+        [(m, pair.nu, omega) for pair, omega in horizons for m in (pair.truth, pair.fitted)]
+        + [(pair.fitted, pair.fitted.p, omega) for pair, omega in horizons]
+    )
+    prepare_spectra([pair.fitted for pair in pairs])
+    prepare_windows([pair.autocov() for pair in pairs if _stable_truth(pair)])
+    for name, compute in (("delta", _deltas), ("floor", _floors), ("stat", _stat_risks)):
+        _fill_pairs(horizons, name, compute)
+    _fill_pairs(items, "intervened", _intervened)
+    _fill_pairs(items, "causal", _causal_risks)
+
+
+def _fill_pairs(items, name: str, compute, strict: bool = False) -> None:
+    """Cache ``compute``'s value under ``(name, arg)`` for each ``(pair, arg)``
+    not yet cached, read-only.  A failed value stays unset, or is raised when
+    ``strict``."""
+    todo = list(
+        {(id(pair), arg): (pair, arg) for pair, arg in items if (name, arg) not in pair._cache}
+        .values()
+    )
+    for (pair, arg), value in zip(todo, compute(todo) if todo else ()):
+        if isinstance(value, Exception):
+            if strict:
+                raise value
+            continue
+        value.setflags(write=False)
+        pair._cache[(name, arg)] = value
+
+
+def _stable_truth(pair: ModelPair) -> bool:
+    try:
+        _require_stable_truth(pair)
+    except NumericalError:
+        return False
+    return True
+
+
+def _deltas(items) -> list:
+    prepare_powers([(m, pair.nu, w) for pair, w in items for m in (pair.truth, pair.fitted)])
+    return [
+        pair.truth.power(w, pair.nu)[: pair.d] - pair.fitted.power(w, pair.nu)[: pair.d]
+        for pair, w in items
+    ]
+
+
+def _floors(items) -> list:
+    """Each pair's noise floor; pairs with one truth share its value."""
+    truths = {(id(pair.truth), w): (pair.truth, w) for pair, w in items}
+    floors = dict(zip(truths, _noise_floors(*zip(*truths.values()))))
+    return [floors[(id(pair.truth), w)] for pair, w in items]
+
+
+def _intervened(items) -> list:
+    """Each pair's intervened window; pairs with one window share its value."""
+    out, shared = [], {}
+    for pair, spec in items:
+        try:
+            window = pair.autocov()
+            key = (id(window), spec)
+            if key not in shared:
+                shared[key] = interventional_cov(window, spec).dense
+            out.append(shared[key])
+        except (BadInputError, NumericalError) as exc:
+            out.append(exc)
+    return out
+
+
+def _stat_risks(items) -> list:
+    return _risks(items, lambda pair, omega: (omega, pair.autocov().dense))
+
+
+def _causal_risks(items) -> list:
+    return _risks(items, lambda pair, spec: (spec.omega, pair.intervened_cov(spec)))
+
+
+def _risks(items, window) -> list:
+    """``D_i' M D_i + floor_i`` per output component of each ``(pair, arg)``,
+    where ``window(pair, arg)`` gives the horizon and ``M``; one ``einsum`` per
+    shape."""
+    out: list = [None] * len(items)
+    groups: dict[tuple[int, int], list] = {}
+    for k, (pair, arg) in enumerate(items):
+        try:
+            _require_stable_truth(pair)
+            omega, cov = window(pair, arg)
+            member = (k, pair.delta_rows(omega), cov, pair._memo("floor", omega, _floors))
+        except (BadInputError, NumericalError) as exc:
+            out[k] = exc
+            continue
+        groups.setdefault(member[1].shape, []).append(member)
+    for (d, size), members in groups.items():
+        # A stack of 2 x 2 windows sums each form in another order than one
+        # call does (numpy 2.4), so those are evaluated one at a time.
+        for part in [members] if size > 2 else [[m] for m in members]:
+            deltas = np.stack([m[1] for m in part])
+            forms = np.einsum("bij,bjk,bik->bi", deltas, np.stack([m[2] for m in part]), deltas)
+            for (k, _, _, floor), form in zip(part, forms):
+                out[k] = form + floor
+    return out
 
 
 def noise_floor(truth: VarModel, omega: int, component: int | None = None):
@@ -108,24 +227,36 @@ def noise_floor(truth: VarModel, omega: int, component: int | None = None):
     """
     if omega < 1:
         raise BadInputError("omega must be a positive integer")
-    comp = truth.companion.dense
-    d = truth.d
-    acc = np.zeros(d)
-    power = np.eye(comp.shape[0])
-    for _ in range(omega):
-        acc += (power[:d, :d] ** 2).sum(axis=1)
-        power = power @ comp
-    floors = truth.noise_variance * acc
+    (floors,) = _noise_floors([truth], [omega])
     if component is None:
         return floors
     return float(floors[component - 1])
+
+
+def _noise_floors(truths, omegas) -> list:
+    """:func:`noise_floor` vectors; truths of one state size and horizon share
+    one stacked product per power."""
+    out: list = [None] * len(truths)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, (truth, omega) in enumerate(zip(truths, omegas)):
+        groups.setdefault((truth.d, truth.d * truth.p, omega), []).append(i)
+    for (d, size, omega), idx in groups.items():
+        comps = np.stack([truths[i].companion.dense for i in idx])
+        acc = np.zeros((len(idx), d))
+        power = np.broadcast_to(np.eye(size), comps.shape)
+        for _ in range(omega):
+            acc += (power[:, :d, :d] ** 2).sum(axis=2)
+            power = power @ comps
+        for i, floors in zip(idx, acc):
+            out[i] = truths[i].noise_variance * floors
+    return out
 
 
 def stat_risk(pair: ModelPair, omega: int) -> np.ndarray:
     """Analytic observational risk per output component (built once per pair
     and horizon; the array is read-only)."""
     _require_stable_truth(pair)
-    return pair._memo(("stat", omega), lambda: _risk(pair, omega, pair.autocov().dense))
+    return pair._memo("stat", omega, _stat_risks)
 
 
 def causal_risk(pair: ModelPair, spec: InterventionSpec) -> np.ndarray:
@@ -139,14 +270,7 @@ def causal_risk(pair: ModelPair, spec: InterventionSpec) -> np.ndarray:
     if spec.kind not in (ATOMIC_FIXED, ATOMIC_AVERAGED):
         raise BadInputError("analytic causal risk applies to atomic interventions")
     _require_stable_truth(pair)
-    return pair._memo(("causal", spec), lambda: _risk(pair, spec.omega, pair.intervened_cov(spec)))
-
-
-def _risk(pair: ModelPair, omega: int, window_cov: np.ndarray) -> np.ndarray:
-    """``D_i' M D_i + floor_i`` per output component for window covariance ``M``."""
-    delta = pair.delta_rows(omega)
-    floor = pair._memo(("floor", omega), lambda: noise_floor(pair.truth, omega))
-    return np.einsum("ij,jk,ik->i", delta, window_cov, delta) + floor
+    return pair._memo("causal", spec, _causal_risks)
 
 
 @dataclass(frozen=True)
@@ -256,7 +380,7 @@ def _squared_errors(fitted: VarModel, path: SamplePath, omega: int) -> np.ndarra
     p = fitted.p
     if n <= p + omega:
         raise BadInputError(f"path of length {n} too short for order {p} at horizon {omega}")
-    weights = matrix_power(fitted.companion, omega)[:d]
+    weights = fitted.power(omega)[:d]
     lagged = _lag_matrix(x, p)  # row s <-> window ending at x[s + p - 1]
     count = n - omega - p + 1
     preds = lagged[:count] @ weights.T
@@ -299,8 +423,9 @@ def _forward(
     d = truth.d
     for s in range(omega):
         top = state @ comp[:d].T + noise[:, s, :]
-        state = np.concatenate([top, state[:, : (length - 1) * d]], axis=1)
-    return state[:, :d]
+        if s + 1 < omega:
+            state = np.concatenate([top, state[:, : (length - 1) * d]], axis=1)
+    return top
 
 
 def _surgery(
@@ -328,7 +453,7 @@ def _surgery(
 
 
 def _prediction_weights(fitted: VarModel, omega: int, length: int) -> np.ndarray:
-    return matrix_power(fitted.lifted(length), omega)[: fitted.d]
+    return fitted.power(omega, length)[: fitted.d]
 
 
 def _mc_window_length(pair: ModelPair, spec: InterventionSpec | None) -> int:

@@ -23,7 +23,7 @@ from varcausal.bounds import (
 )
 from varcausal.errors import BadInputError, NumericalError
 from varcausal.interventions import InterventionSpec
-from varcausal.process import VarModel, exact_autocov, simulate
+from varcausal.process import SamplePath, VarModel, exact_autocov, simulate
 from varcausal.risk import ModelPair, causal_risk, empirical_stat_risk, risk_difference, stat_risk
 
 from conftest import random_stable_model, random_stable_pair
@@ -265,6 +265,37 @@ class TestRademacher:
             values.append(rademacher_estimate(blocks, 1.0, 4.0, 3, draws=2000))
         slope = np.polyfit(np.log(mus), np.log(values), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
+
+
+class TestQuantile:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy's, on inf
+    def test_same_bits_as_numpy(self):
+        # thm1's truncation level is numpy's linear quantile, step for step:
+        # ties, infinities, NaNs, and quantiles at and next to the maximum.
+        from varcausal.bounds import _quantile
+
+        rng = np.random.default_rng(999)
+        cases = [np.array([2.5]), np.array([1.0, 1.0]), np.array([0.0, np.inf, 1.0])]
+        for n in (*range(2, 40), 95, 96, 100, 999, 1000, 1001, 5000):
+            values = rng.standard_normal(n) ** 2 * 10.0 ** rng.uniform(-3, 3)
+            cases += [values, np.round(values, 1), np.where(values > 1, np.inf, values)]
+        cases += [np.array([1.0, np.nan, 2.0]), np.array([np.nan] * 3)]
+        for values in cases:
+            for q in (0.0, 0.25, 0.5, 0.999, 1.0 - 1e-12, 1.0):
+                want = np.quantile(values, q)
+                got = _quantile(values.copy(), q)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (values, q)
+
+    def test_lag_window_blocks_are_rows_of_the_lag_matrix(self):
+        from varcausal.risk import _lag_matrix
+
+        x = np.arange(60.0).reshape(30, 2)
+        path = SamplePath(values=x, seed=0, burn_in=0)
+        for p in (1, 3, 7):
+            for scheme in (BlockScheme(n=30, mu=3, m=5), BlockScheme(n=28, mu=1, m=14)):
+                lagged = _lag_matrix(x, p)
+                want = [lagged[max(2 * j * scheme.m + scheme.m - p, 0)] for j in range(scheme.mu)]
+                np.testing.assert_array_equal(lag_window_blocks(path, p, scheme), np.stack(want))
 
 
 class TestThm1:

@@ -351,43 +351,64 @@ class TestConfounded:
 class TestDerivedQuantitiesOnce:
     def test_one_standard_process_solves_each_model_once(self, monkeypatch):
         # A chunk of three processes samples its truths in one call and sets
-        # them up in one stacked call per quantity: spectra, Lyapunov solves
-        # and window roots.  Each fit needs its own spectrum and companion;
-        # only truths need a stationary covariance, a window autocovariance
-        # and a root.  Each record's risks and bounds share one intervened
-        # window.  ``models`` counts the models (or windows) each set-up
-        # call handles, so each model's quantities are computed once.
+        # them up in one stacked call per quantity: companions, spectra,
+        # Lyapunov solves and window roots.  Its fits are scored the same
+        # way: one stacked call each for their companions, spectra, the
+        # powers of every model at every horizon, the eigenvalues of every
+        # window and of its correlation, the noise floors, and the
+        # statistical and the causal risks.  Each fit needs its own spectrum
+        # and companion; only truths need a stationary covariance, a window
+        # autocovariance and a root.  ``items`` counts the models (or
+        # windows, or risks) each stacked call handles, so each quantity is
+        # computed once, however often the records and bounds ask.
         import sys
 
         from varcausal import harness, interventions, process, risk
         from varcausal.harness import run
 
-        setups = ("_spectra", "_state_covs", "_psd_roots")
+        stacked = (
+            "_lifts", "_spectra", "_state_covs", "_psd_roots", "_powers",
+            "symmetric_eigenvalues", "_noise_floors", "_risks",
+        )
         once = {
-            "_spectra": 4,
-            "build_companion": 6,
+            **dict.fromkeys(stacked, 1),
+            "_lifts": 2,  # the truths', then the fits'
+            "_spectra": 2,
+            "_risks": 2,  # statistical, then causal
             "autocov_blocks": 3,
-            "_psd_roots": 1,
-            "_state_covs": 1,
             "interventional_cov": 3,
-            # One noise floor, and one quadratic form each for the record's
-            # statistical and causal risk, however often the bounds ask.
-            "noise_floor": 3,
-            "_risk": 6,
             "rejection_sample_block": 1,
         }
-        once_models = {"_spectra": 6, "_state_covs": 3, "_psd_roots": 3}
+        once_items = {
+            **dict.fromkeys(stacked, 3),
+            "_lifts": 6,
+            "_spectra": 6,
+            "_powers": 6,  # the truth's and the fit's omega-th power
+            "symmetric_eigenvalues": 6,  # each window and its correlation
+            "_risks": 6,
+        }
         counts = dict.fromkeys(once, 0)
-        models = dict.fromkeys(setups, 0)
+        items = dict.fromkeys(stacked, 0)
+        # Matrices numpy's solvers see: each window, each correlation matrix
+        # and each (model, horizon) once.  A record scored on its own takes
+        # three eigvalsh (kappa's, thm1's and prop1's) and five matrix powers.
+        numpy_calls = {"eigvalsh": 0, "matrix_power": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
-                if name in models:
-                    models[name] += len(args[0])
+                if name in items:
+                    items[name] += len(args[0])
                 return fn(*args, **kwargs)
 
             return wrapper
+
+        for name in ("eigvalsh", "matrix_power"):
+            def matrices(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                numpy_calls[_name] += a.shape[0] if a.ndim == 3 else 1
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, matrices)
 
         lengths = []
 
@@ -406,31 +427,33 @@ class TestDerivedQuantitiesOnce:
 
         def one_chunk(**kw):
             counts.update(dict.fromkeys(once, 0))
-            models.update(dict.fromkeys(setups, 0))
+            items.update(dict.fromkeys(stacked, 0))
+            numpy_calls.update(eigvalsh=0, matrix_power=0)
             lengths.clear()
             cfg = tiny_cfg(
                 n_processes=3, orders=(3,), bucket_size=1, n_test=1000, mc_draws=1000, **kw
             )
             res = run(cfg)
             assert res.records and res.metadata["skipped"] == 0
-            return counts, models
+            return counts, items, numpy_calls
 
-        assert one_chunk() == (once, once_models)
+        assert one_chunk() == (once, once_items, {"eigvalsh": 6, "matrix_power": 6})
         # Each process's 6 records share one pair.  Per horizon: one noise
-        # floor, one statistical risk, and one intervened window and causal
-        # risk per regime; the every-step record's bounds reuse the
+        # floor, one statistical risk, two powers, and one intervened window
+        # and causal risk per regime; the every-step record's bounds reuse the
         # single-step window.
         assert one_chunk(mode="omegaSweep", sweep_omegas=(1, 5, 7)) == (
-            {**once, "interventional_cov": 18, "noise_floor": 9, "_risk": 27}, once_models
+            {**once, "interventional_cov": 18},
+            {**once_items, "_powers": 18, "_noise_floors": 9, "_risks": 27},
+            {"eigvalsh": 6, "matrix_power": 18},
         )
         # One truth and one test path per process; one training path and one
-        # fit (a spectrum and a companion) per size.
+        # fit (a companion, a spectrum and a power) per size.  Fits of one
+        # truth share its window, noise floor and intervened window.
         assert one_chunk(mode="sampleSweep", sweep_train_sizes=(20, 40, 60)) == (
-            {
-                **once, "_spectra": 10, "build_companion": 12, "interventional_cov": 9,
-                "noise_floor": 9, "_risk": 18,
-            },
-            {**once_models, "_spectra": 12},
+            once,
+            {**once_items, "_lifts": 12, "_spectra": 12, "_powers": 12, "_risks": 18},
+            {"eigvalsh": 6, "matrix_power": 12},
         )
         assert sorted(lengths) == [20] * 3 + [40] * 3 + [60] * 3 + [1000] * 3
 
@@ -444,10 +467,29 @@ class TestChunks:
             {"mode": "confounded", "n_processes": 6},
             # Some truths exhaust the budget and are skipped.
             {"orders": (7,), "n_processes": 8, "max_tries": 600, "mc_draws": 50},
+            # Fit orders above and below the true ones.
+            {"orders": (2,), "order_pairs": ((4, 2), (1, 3)), "n_processes": 5},
+            # Scoring fails for process 3 (see below).
+            {"orders": (3,), "n_processes": 7, "fail_pid": 3},
         ],
     )
     def test_chunk_size_does_not_change_outputs(self, monkeypatch, kw):
         from varcausal import harness
+        from varcausal.errors import NumericalError
+
+        kw = dict(kw)
+        fail_pid = kw.pop("fail_pid", None)
+        if fail_pid is not None:
+            base = run(tiny_cfg(bucket_size=2, **kw))
+            (target,) = [r.coeffs_true for r in base.records if r.process_id == fail_pid]
+            real = harness.prop1_bound
+
+            def fail_on_target(pair, omega):
+                if tuple(pair.truth.scalar_coeffs) == target:
+                    raise NumericalError("injected failure")
+                return real(pair, omega)
+
+            monkeypatch.setattr(harness, "prop1_bound", fail_on_target)
 
         def outputs():
             res = run(tiny_cfg(bucket_size=2, **kw))
@@ -458,8 +500,19 @@ class TestChunks:
         for size in (1, 3):
             monkeypatch.setattr(harness, "CHUNK_PROCESSES", size)
             assert outputs() == default
+        meta = default[2]
+        assert meta["skipped"] == sum(meta["skipped_by_reason"].values())
         if "max_tries" in kw:
-            assert 0 < default[2]["skipped"] < kw["n_processes"]
+            assert 0 < meta["skipped"] < kw["n_processes"]
+            assert meta["skipped_by_reason"] == {
+                "sampling": meta["skipped"], "simulation": 0, "fit": 0, "scoring": 0
+            }
+        records = run(tiny_cfg(bucket_size=2, **kw)).records
+        if "order_pairs" in kw:
+            assert {(r.order_fit, r.order_true) for r in records} == {(2, 2), (4, 2), (1, 3)}
+        if fail_pid is not None:
+            assert meta["skipped_by_reason"]["scoring"] == meta["skipped"] == 1
+            assert fail_pid not in {r.process_id for r in records}
 
     def test_sampling_counts_in_metadata(self):
         cfg = tiny_cfg(orders=(2, 5), order_pairs=((3, 5),), n_processes=6)
@@ -473,6 +526,85 @@ class TestChunks:
         assert run(cfg).metadata["sampling"] == sampling
         confounded = run(tiny_cfg(mode="confounded", n_processes=4)).metadata["sampling"]
         assert confounded["1"]["step_down_removed"] == 0
+
+
+class TestSkipReasons:
+    @pytest.mark.parametrize("reason", ["simulation", "fit", "scoring"])
+    def test_failing_unit_counts_under_its_reason(self, monkeypatch, reason):
+        # Process 1's training path (sizes 30 and 60) fails in one stage; each
+        # of its two units counts once, under that stage.
+        from varcausal import harness
+        from varcausal.errors import NumericalError
+
+        cfg = tiny_cfg(
+            mode="sampleSweep", n_processes=3, orders=(2,), sweep_train_sizes=(30, 60),
+            mc_draws=20, bucket_size=1,
+        )
+        base = run(cfg)
+        target = [r for r in base.records if r.process_id == 1]
+        paths = []
+
+        def simulate(model, n, seed, **kw):
+            path = harness_simulate(model, n, seed, **kw)
+            if tuple(model.scalar_coeffs) == target[0].coeffs_true and n != cfg.n_test:
+                if reason == "simulation":
+                    raise NumericalError("injected failure")
+                paths.append(path)
+            return path
+
+        def build_design(path, p):
+            if reason == "fit" and any(path is target_path for target_path in paths):
+                raise NumericalError("injected failure")
+            return harness_build_design(path, p)
+
+        def prop1_bound(pair, omega):
+            if reason == "scoring" and tuple(pair.truth.scalar_coeffs) == target[0].coeffs_true:
+                raise NumericalError("injected failure")
+            return harness_prop1(pair, omega)
+
+        harness_simulate, harness_build_design = harness.simulate, harness.build_design
+        harness_prop1 = harness.prop1_bound
+        monkeypatch.setattr(harness, "simulate", simulate)
+        monkeypatch.setattr(harness, "build_design", build_design)
+        monkeypatch.setattr(harness, "prop1_bound", prop1_bound)
+        meta = run(cfg).metadata
+        want = dict.fromkeys(("sampling", "simulation", "fit", "scoring"), 0)
+        assert base.metadata["skipped_by_reason"] == want
+        assert meta["skipped_by_reason"] == {**want, reason: 2}
+        assert meta["skipped"] == 2
+        assert meta["n_records"] == base.metadata["n_records"] - 2
+
+
+class TestSingularWindows:
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_near_singular_window_is_counted(self, monkeypatch):
+        # An AR(2) with a double root at 1 - 1e-6: its lag-one autocorrelation
+        # is 1 - 5e-13, so its 2 x 2 window has condition number about 4e12,
+        # past the 1e-12 cut-off, and reads as singular.
+        from varcausal import harness
+        from varcausal.bounds import condition_number
+        from varcausal.process import VarModel
+
+        r = 1.0 - 1e-6
+        near = VarModel.from_coeffs([2.0 * r, -r * r])
+        assert condition_number(near.autocov(2)) == math.inf
+        assert condition_number(near.autocov(2).correlation) == math.inf
+        cfg = tiny_cfg(n_processes=3, orders=(2,), mc_draws=20, bucket_size=1)
+        assert run(cfg).metadata["windows_singular"] == 0
+        sample = harness.rejection_sample_block
+
+        def with_near_singular(*args, **kw):
+            truths = sample(*args, **kw)
+            truths[1] = near
+            return truths
+
+        monkeypatch.setattr(harness, "rejection_sample_block", with_near_singular)
+        res = run(cfg)
+        assert res.metadata["windows_singular"] == 1
+        assert res.metadata["skipped"] == 0
+        (rec,) = [r for r in res.records if r.process_id == 1]
+        assert rec.kappa == math.inf and not math.isfinite(rec.thm1_rhs)
+        assert all(math.isfinite(r.kappa) for r in res.records if r.process_id != 1)
 
 
 class TestFitCounters:

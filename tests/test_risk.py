@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from varcausal.errors import BadInputError
+from varcausal.errors import BadInputError, NumericalError
 from varcausal.interventions import InterventionSpec, interventional_cov
-from varcausal.process import VarModel, exact_autocov, simulate
+from varcausal.process import VarModel, exact_autocov, prepare_models, simulate
 from varcausal.risk import (
     ModelPair,
     causal_risk,
@@ -17,6 +17,7 @@ from varcausal.risk import (
     mc_risk_gap,
     mc_stat_risk,
     noise_floor,
+    prepare_pairs,
     relative_shift_gap,
     risk_difference,
     risk_quotient,
@@ -48,6 +49,133 @@ class TestPairCache:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
+
+
+def _plain_floor(truth: VarModel, omega: int) -> np.ndarray:
+    """The noise floor as one model's loop of products computes it."""
+    comp = truth.companion.dense
+    acc = np.zeros(truth.d)
+    power = np.eye(comp.shape[0])
+    for _ in range(omega):
+        acc += (power[: truth.d, : truth.d] ** 2).sum(axis=1)
+        power = power @ comp
+    return truth.noise_variance * acc
+
+
+def _plain_residual(comp, eig) -> float:
+    """The characteristic residual as one model's loop computes it."""
+    d, p = comp.d, comp.p
+    scale = 1.0 + max(float(np.abs(b).max()) for b in comp.blocks)
+    denom = (1.0 + np.abs(eig)) ** (d * p) * scale**d
+    if d == 1:
+        poly = np.concatenate(([1.0], [-b[0, 0] for b in comp.blocks]))
+        return float((np.abs(np.polyval(poly, eig)) / denom).max())
+    worst = 0.0
+    for lam, den in zip(eig, denom):
+        m = np.eye(d, dtype=complex) * lam**p
+        for l, b in enumerate(comp.blocks, start=1):
+            m -= b * lam ** (p - l)
+        worst = max(worst, abs(np.linalg.det(m)) / den)
+    return worst
+
+
+class TestPreparePairs:
+    """The stacked scoring set-up gives each pair the bits of its own calls,
+    and those are the bits of the plain numpy calls."""
+
+    @staticmethod
+    def _pairs():
+        # 64 pairs: scalar truths of orders 1-7 with fits of the same, a lower
+        # and a higher order (some fits unstable), and bivariate pairs.
+        rng = np.random.default_rng(64)
+        pairs = []
+        for k in range(64):
+            d = 2 if k >= 56 else 1
+            q = 1 + k % (2 if d == 2 else 7)
+            p = (q, max(1, q - 2), q + 1)[k % 3]
+            truth = random_stable_model(rng, q, d)
+            fitted = VarModel.from_coeffs(list(rng.uniform(-1.2, 1.2, (p, d, d))), 0.5 + k % 3)
+            pairs.append((truth.coeffs, truth.noise_variance, fitted.coeffs, fitted.noise_variance))
+        return [
+            ModelPair(truth=VarModel.from_coeffs(tc, tn), fitted=VarModel.from_coeffs(fc, fn))
+            for tc, tn, fc, fn in pairs
+        ]
+
+    @staticmethod
+    def _specs(pair, omega):
+        every = tuple(range(pair.nu))
+        return [InterventionSpec.averaged(omega), InterventionSpec.averaged(omega, time_lags=every)]
+
+    @pytest.mark.parametrize("omega", [1, 5, 7])
+    def test_stacked_equals_one_at_a_time(self, omega):
+        stacked, alone = self._pairs(), self._pairs()
+        prepare_models([pair.truth for pair in stacked])
+        prepare_pairs([(pair, spec) for pair in stacked for spec in self._specs(pair, omega)])
+        assert len({pair.autocov().dense.shape for pair in stacked}) > 5
+        for s, a in zip(stacked, alone):
+            specs = self._specs(s, omega)
+            # Filled by the stacked calls, before anything reads them.
+            assert {("delta", omega), ("floor", omega), ("stat", omega)} <= set(s._cache)
+            for spec in specs:
+                assert {("intervened", spec), ("causal", spec)} <= set(s._cache)
+            assert "spectrum" in vars(s.fitted)
+            window = s.autocov()
+            assert "eigenvalues" in vars(window) and "eigenvalues" in vars(window.correlation)
+
+            d, nu = s.d, s.nu
+            delta = s.delta_rows(omega)
+            plain_delta = (
+                np.linalg.matrix_power(a.truth.lifted(nu).dense, omega)[:d]
+                - np.linalg.matrix_power(a.fitted.lifted(nu).dense, omega)[:d]
+            )
+            for want in (a.delta_rows(omega), plain_delta):
+                np.testing.assert_array_equal(delta, want)
+            np.testing.assert_array_equal(s.fitted.power(omega), a.fitted.power(omega))
+            np.testing.assert_array_equal(
+                s.fitted.power(omega), np.linalg.matrix_power(a.fitted.companion.dense, omega)
+            )
+            floor = s._cache[("floor", omega)]
+            np.testing.assert_array_equal(floor, noise_floor(a.truth, omega))
+            np.testing.assert_array_equal(floor, _plain_floor(a.truth, omega))
+            for got, want, cov in [
+                (stat_risk(s, omega), stat_risk(a, omega), a.autocov().dense),
+                *[
+                    (causal_risk(s, spec), causal_risk(a, spec), a.intervened_cov(spec))
+                    for spec in specs
+                ],
+            ]:
+                np.testing.assert_array_equal(got, want)
+                plain = np.einsum("ij,jk,ik->i", plain_delta, cov, plain_delta) + floor
+                np.testing.assert_array_equal(got, plain)
+            for spec in specs:
+                np.testing.assert_array_equal(
+                    s.intervened_cov(spec), interventional_cov(a.autocov(), spec).dense
+                )
+            for got, want in [(window, a.autocov()), (window.correlation, a.autocov().correlation)]:
+                np.testing.assert_array_equal(got.dense, want.dense)
+                np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+                np.testing.assert_array_equal(got.eigenvalues, np.linalg.eigvalsh(want.dense))
+            for model, plain in [(s.fitted, a.fitted), (s.truth, a.truth)]:
+                got, want = model.spectrum, plain.spectrum
+                np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+                assert got.eigenvalues.dtype == want.eigenvalues.dtype
+                assert (got.max_modulus, got.min_gap, got.char_residual) == (
+                    want.max_modulus, want.min_gap, want.char_residual
+                )
+                assert got.char_residual == _plain_residual(plain.companion, want.eigenvalues)
+            for arr in (delta, floor, window.eigenvalues, s.fitted.power(omega)):
+                assert not arr.flags.writeable
+
+    def test_unstable_truth_is_left_unset(self):
+        stable = ModelPair(VarModel.from_coeffs([0.5, 0.2]), VarModel.from_coeffs([0.4]))
+        unstable = ModelPair(VarModel.from_coeffs([1.2, 0.1]), VarModel.from_coeffs([0.4]))
+        spec = InterventionSpec.averaged(2)
+        prepare_pairs([(stable, spec), (unstable, spec)])
+        assert ("causal", spec) in stable._cache
+        assert ("stat", 2) not in unstable._cache and ("causal", spec) not in unstable._cache
+        for read in (lambda: stat_risk(unstable, 2), lambda: causal_risk(unstable, spec)):
+            with pytest.raises(NumericalError):
+                read()
 
 
 class TestNoiseFloor:

@@ -11,6 +11,7 @@ PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
   master seeds 48, 96, 144, 192 and 240, the first seed of each of
   perfbench's runs 1 to 5;
 * one config per mode, with all four estimators in standard mode;
+* misspecified orders (``order_pairs``), where the fit and true orders differ;
 * orders 7 and 8 with ``max_tries = 3000``, where sampling skips processes;
 * order 10, whose state dimension takes the bilinear Lyapunov solver.
 
@@ -55,6 +56,11 @@ EXTRA = {
         {"mode": "confounded", "orders": 2, "n_processes": 20, "mc_draws": 200,
          "bucket_size": 5},
         7,
+    ),
+    "order_pairs": (
+        {"mode": "standard", "orders": 3, "order_pairs": "1:3,5:3,3:5", "n_processes": 20,
+         "mc_draws": 200, "bucket_size": 5},
+        10,
     ),
     "skips_max_tries_3000": (
         {"mode": "standard", "orders": "7,8", "n_processes": 30, "max_tries": 3000,
