@@ -301,7 +301,9 @@ def admissible_block_scheme(
     Picks the largest ``mu`` with ``2 (mu - 1) rho^m <= (1 - margin) *
     confidence`` (``m = n // (2 mu)``, ``n`` shrunk to fit).  For strongly
     dependent processes no multi-block split may qualify; ``mu = 1`` is then
-    returned, where the correction vanishes identically.
+    returned, where the correction vanishes identically.  The correction
+    never falls as ``mu`` grows (``m`` shrinks), so the largest admissible
+    ``mu`` is found by bisection.
     """
     if n < 2:
         raise BadInputError("need at least two observations for a block scheme")
@@ -310,13 +312,15 @@ def admissible_block_scheme(
     if not 0.0 < confidence < 1.0:
         raise BadInputError("confidence must lie in (0, 1)")
     budget = (1.0 - margin) * confidence
-    for mu in range(n // 2, 0, -1):
-        m = n // (2 * mu)
-        if m < 1:
-            continue
-        if 2.0 * (mu - 1) * rho**m <= budget:
-            return BlockScheme(n=2 * mu * m, mu=mu, m=m)
-    return BlockScheme(n=2 * (n // 2), mu=1, m=n // 2)
+    lo, hi = 1, n // 2  # mu = 1 when nothing larger is admissible
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if 2.0 * (mid - 1) * rho ** (n // (2 * mid)) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    m = n // (2 * lo)
+    return BlockScheme(n=2 * lo * m, mu=lo, m=m)
 
 
 def lag_window_blocks(path: SamplePath, p: int, scheme: BlockScheme) -> np.ndarray:

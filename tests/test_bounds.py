@@ -237,6 +237,23 @@ class TestBlockScheme:
         scheme = admissible_block_scheme(100, 0.999, 0.1)
         assert scheme.mu == 1
 
+    def test_bisection_matches_the_downward_scan(self):
+        # The largest admissible block count, as a scan from n // 2 down finds it.
+        def scan(n, rho, confidence, margin):
+            budget = (1.0 - margin) * confidence
+            for mu in range(n // 2, 0, -1):
+                m = n // (2 * mu)
+                if 2.0 * (mu - 1) * rho**m <= budget:
+                    return BlockScheme(n=2 * mu * m, mu=mu, m=m)
+            return BlockScheme(n=2 * (n // 2), mu=1, m=n // 2)
+
+        for n in (*range(2, 130), 999, 1000, 1001, 4096):
+            for rho in (0.01, 0.3, 0.7, 0.9, 0.99, 0.999):
+                for confidence in (0.001, 0.1, 0.9):
+                    for margin in (0.0, 0.5, 1.5):
+                        args = (n, rho, confidence, margin)
+                        assert admissible_block_scheme(*args) == scan(*args), args
+
 
 class TestRademacher:
     def test_zero_windows_zero_complexity(self):
