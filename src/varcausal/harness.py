@@ -14,8 +14,10 @@ only in data:
                      intervention regimes (most recent step only / every
                      window step), bucketed per (horizon, regime),
 * ``confounded``   - a bivariate process observed through one coordinate,
-                     fit as a scalar model; bounds are evaluated with
-                     empirical inputs and violations are counted, not hidden.
+                     fit as a scalar model whose exact and Monte-Carlo risks
+                     are those of its embedding in the bivariate truth; the
+                     bounds are evaluated with the analyst's empirical inputs
+                     and violations are counted, not hidden.
 
 Processes run ``CHUNK_PROCESSES`` at a time.  A chunk's truths are sampled
 and set up together; each process then simulates its paths and fits them;
@@ -51,7 +53,7 @@ from .bounds import (
 )
 from .errors import ConfigError, NumericalError
 from .estimators import ESTIMATORS, OLS, FitResult, build_design, fit_cv, fit_ols
-from .interventions import InterventionSpec, marginal_variances
+from .interventions import InterventionSpec
 from .process import (
     SAMPLE_COUNTS,
     SamplePath,
@@ -68,8 +70,6 @@ from .risk import (
     mc_causal_risk,
     prepare_pairs,
     stat_risk,
-    _draw_windows,
-    _forward,
 )
 from .seeding import derive_rng
 
@@ -107,6 +107,14 @@ SWEEP_FIELDS = ("n_train", "q0", "q25", "q50", "q75", "q100", "mean", "std", "co
 #: records whose window is numerically singular (a condition number of ``inf``:
 #: ``kappa`` or, for thm1, that of the window covariance).
 RUN_COUNTERS = ("fits_nonconverged", "fits_rank_deficient", "thm1_nan", "windows_singular")
+
+#: Bound-violation counts in ``metadata.json``: each key counts the records
+#: whose first field exceeds their second, the bound on it.
+VIOLATIONS = {
+    "prop1_violations": ("abs_diff", "prop1_rhs"),
+    "cor2_violations": ("abs_diff", "cor2_rhs"),
+    "thm1_violations": ("g_analytic", "thm1_rhs"),
+}
 
 #: Why (process, training size) units were skipped, in ``metadata.json``'s
 #: ``skipped_by_reason``: the truth exhausted ``max_tries``, or simulating a
@@ -175,9 +183,6 @@ class ExperimentConfig:
             raise ConfigError("sweep_omegas must be distinct")
         if self.mc_draws < 0:
             raise ConfigError("mc_draws must be non-negative")
-        if self.mode == "confounded" and self.mc_draws < 1:
-            # Monte Carlo is the confounded mode's only causal-risk route.
-            raise ConfigError("confounded mode needs mc_draws >= 1")
         # thm1 scores the fit on its own training path, which therefore
         # needs a window of every fit order plus the horizon.
         horizon = max(self.sweep_omegas, default=0) if self.mode == "omegaSweep" else self.omega
@@ -320,10 +325,10 @@ def _thm1_rhs(
     train: SamplePath,
     omega: int,
     kappa: float,
-    rho: float,
-    g_analytic: float,
+    delta_true: float,
     counts: dict,
 ) -> float:
+    rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
     scheme = admissible_block_scheme(train.n, rho, cfg.confidence)
     try:
         report = thm1_bound(
@@ -338,13 +343,23 @@ def _thm1_rhs(
             confidence=cfg.confidence,
             draws=cfg.rademacher_draws,
             seed=derive_rng(cfg.master_seed, pid, seeding.STAGE_RADEMACHER),
-            lhs=g_analytic if math.isfinite(g_analytic) else None,
         )
         return report.value
     except NumericalError:
         # The default scheme can be inadmissible for this rho and confidence.
         counts["thm1_nan"] += 1
         return math.nan
+
+
+def _g_mc(
+    cfg: ExperimentConfig, pid: int, pair: ModelPair, spec: InterventionSpec, component=None
+) -> float:
+    """A record's Monte-Carlo causal risk (see :func:`mc_causal_risk`), NaN
+    without draws."""
+    if cfg.mc_draws == 0:
+        return math.nan
+    rng = derive_rng(cfg.master_seed, pid, seeding.STAGE_MC)
+    return mc_causal_risk(pair, spec, cfg.mc_draws, rng, component)[0]
 
 
 def _standard_record(
@@ -368,20 +383,14 @@ def _standard_record(
     s_an = float(stat_risk(pair, omega).sum())
     g_an = float(causal_risk(pair, spec).sum())
     s_emp = empirical_stat_risk(fit.model, test, omega)
-    if cfg.mc_draws > 0:
-        g_mc, _ = mc_causal_risk(
-            pair, spec, cfg.mc_draws, derive_rng(cfg.master_seed, pid, seeding.STAGE_MC)
-        )
-    else:
-        g_mc = math.nan
+    g_mc = _g_mc(cfg, pid, pair, spec)
 
     delta_true = truth.spectrum.max_modulus
     delta_fit = fit.model.spectrum.max_modulus
     kappa_cov = condition_number(pair.autocov())
     prop1 = prop1_bound(pair, omega).value
     cor2 = cor2_bound(pair, omega).value
-    rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
-    thm1 = _thm1_rhs(cfg, pid, fit.model, train, omega, kappa_cov, rho, g_an, counts)
+    thm1 = _thm1_rhs(cfg, pid, fit.model, train, omega, kappa_cov, delta_true, counts)
 
     return ExperimentRecord(
         process_id=pid,
@@ -444,7 +453,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
                 (pair, spec) for unit in units for pair in unit.pairs for spec in _specs(cfg, pair)
             )
             for unit in units:
-                _score(cfg, unit, p_fit, counts, skipped)
+                _score(cfg, unit, counts, skipped)
     for recs in per_size:
         recs.sort(key=lambda r: (r.process_id, r.estimator, r.omega, r.regime))
     records = [rec for recs in per_size for rec in recs]
@@ -466,7 +475,7 @@ class _Unit:
     train: SamplePath
     test: SamplePath
     fits: list  # see _fits
-    pairs: list  # (truth, fit model) of each fit, outside confounded mode
+    pairs: list  # (truth, fit model) of each fit; see _embedded
     records: list  # where the unit's records go
 
 
@@ -497,8 +506,10 @@ def _chunk_units(
                 continue
             train = _observed(train) if confounded else train
             fits = _fits(cfg, train, p_fit)
-            pairs = [] if confounded else [
-                ModelPair(truth=truth, fitted=fit.model) for fit in fits if isinstance(fit, FitResult)
+            pairs = [
+                ModelPair(truth=truth, fitted=_embedded(fit.model, truth.d))
+                for fit in fits
+                if isinstance(fit, FitResult)
             ]
             units.append(_Unit(pid, truth, train, test, fits, pairs, recs))
     return units
@@ -506,6 +517,17 @@ def _chunk_units(
 
 def _observed(path: SamplePath) -> SamplePath:
     return SamplePath(values=path.values[:, :1].copy(), seed=path.seed, burn_in=0)
+
+
+def _embedded(model: VarModel, d: int) -> VarModel:
+    """``model`` as a ``d``-dimensional VAR, as :func:`_observed` sees the
+    truth's paths: its coordinates come first and follow their lags as before,
+    and every other coordinate is predicted as zero.  A model of dimension
+    ``d`` is returned as it is."""
+    if model.d == d:
+        return model
+    blocks = tuple(np.pad(block, (0, d - model.d)) for block in model.coeffs)
+    return VarModel(d=d, p=model.p, coeffs=blocks, noise_variance=model.noise_variance)
 
 
 def _specs(cfg: ExperimentConfig, pair: ModelPair) -> list[InterventionSpec]:
@@ -516,7 +538,7 @@ def _specs(cfg: ExperimentConfig, pair: ModelPair) -> list[InterventionSpec]:
     ))
 
 
-def _score(cfg: ExperimentConfig, unit: _Unit, p_fit: int, counts: dict, skipped: dict) -> None:
+def _score(cfg: ExperimentConfig, unit: _Unit, counts: dict, skipped: dict) -> None:
     """Score the fits of ``unit`` in order, counting each fit's flags just
     before its records, as if it had been fit there; a fit error or a
     ``NumericalError`` in scoring skips the whole unit."""
@@ -527,13 +549,13 @@ def _score(cfg: ExperimentConfig, unit: _Unit, p_fit: int, counts: dict, skipped
             return
         counts["fits_nonconverged"] += not fit.converged
         counts["fits_rank_deficient"] += fit.rank_deficient
+        pair = unit.pairs[k]
         try:
             if cfg.mode == "confounded":
-                rec = _confounded_record(cfg, unit, p_fit, fit, counts)
+                rec = _confounded_record(cfg, unit, pair, fit, counts)
                 records.append(rec)
                 singular += math.isinf(rec.kappa)
                 continue
-            pair = unit.pairs[k]
             for omega, regime in _cells(cfg):
                 rec = _standard_record(
                     cfg, unit.pid, omega, pair, unit.train, unit.test, fit, counts, regime
@@ -552,7 +574,7 @@ def _blocks(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
     """(fit order, true order, dimension) of each block of processes."""
     if cfg.mode == "confounded":
         # A bivariate first-order truth, observed through one coordinate.
-        return [(cfg.orders[0], 1, 2)]
+        return [(q, 1, 2) for q in cfg.orders]
     return [(q, q, 1) for q in cfg.orders] + [(int(p), int(q), 1) for p, q in cfg.order_pairs]
 
 
@@ -619,34 +641,33 @@ def _sweep_summary(n_train: int, records) -> SweepSummary:
 
 
 def _confounded_record(
-    cfg: ExperimentConfig, unit: _Unit, p_fit: int, fit: FitResult, counts: dict
+    cfg: ExperimentConfig, unit: _Unit, pair: ModelPair, fit: FitResult, counts: dict
 ) -> ExperimentRecord:
     """Hidden-confounder record: score the scalar model ``fit`` of the first
     coordinate of bivariate paths (``unit`` holds that coordinate's paths).
 
-    The condition number is estimated from the observed test sample, the
-    causal risk by do-simulation on the full bivariate truth, and the bounds
-    are evaluated with these empirical inputs; their violations are counted
-    in the metadata.
+    ``pair`` is (bivariate truth, the fit's embedding), filled by
+    :func:`prepare_pairs`; its first output component gives the exact
+    statistical and causal risks and, under do() on the observed coordinate,
+    the Monte-Carlo causal risk.  The analyst cannot see the hidden
+    coordinate: the condition number is estimated from the observed test
+    sample, the bounds are evaluated with these empirical inputs, and their
+    violations are counted in the metadata.
     """
     pid, truth, train, test = unit.pid, unit.truth, unit.train, unit.test
-    emp_cov = empirical_autocov(test, p_fit)
+    spec = _spec(cfg.omega, "single", pair.nu)
+    emp_cov = empirical_autocov(test, fit.model.p)
     kappa = condition_number(emp_cov.correlation)
     s_emp = empirical_stat_risk(fit.model, test, cfg.omega)
-    g_mc = _confounded_mc_risk(
-        cfg, truth, fit.model, p_fit,
-        derive_rng(cfg.master_seed, pid, seeding.STAGE_MC),
-    )
-    diff = abs(g_mc - s_emp)
+    g_mc = _g_mc(cfg, pid, pair, spec, component=1)
     sigma2_hat = fit.model.noise_variance
     prop1 = (2.0 * kappa - 1.0) * max(s_emp - sigma2_hat, 0.0)
     delta_true = truth.spectrum.max_modulus
-    rho = cfg.rho if cfg.rho is not None else min(max(delta_true, 0.01), 0.999)
-    thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, rho, g_mc, counts)
+    thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, delta_true, counts)
     return ExperimentRecord(
         process_id=pid,
         order_true=1,
-        order_fit=p_fit,
+        order_fit=fit.model.p,
         estimator=cfg.estimators[0],
         regime="confounded",
         kappa=kappa,
@@ -654,42 +675,17 @@ def _confounded_record(
         delta_fit=fit.model.spectrum.max_modulus,
         coeffs_true=tuple(float(v) for v in truth.coeffs[0].ravel()),
         coeffs_fit=tuple(float(v) for v in fit.model.scalar_coeffs),
-        s_analytic=math.nan,
+        s_analytic=float(stat_risk(pair, cfg.omega)[0]),
         s_empirical=s_emp,
-        g_analytic=math.nan,
+        g_analytic=float(causal_risk(pair, spec)[0]),
         g_mc=g_mc,
-        abs_diff=diff,
+        abs_diff=abs(g_mc - s_emp),
         prop1_rhs=prop1,
         cor2_rhs=math.nan,
         thm1_rhs=thm1,
         omega=cfg.omega,
         n_train=train.n,
     )
-
-
-def _confounded_mc_risk(
-    cfg: ExperimentConfig,
-    truth: VarModel,
-    fitted: VarModel,
-    p_fit: int,
-    rng: np.random.Generator,
-) -> float:
-    """Average causal risk of the scalar fit under do() on the observed
-    coordinate of the bivariate truth, by exact-window Monte Carlo."""
-    length = max(p_fit, truth.p)
-    windows = _draw_windows(truth, length, cfg.mc_draws, rng)
-    marg_std = math.sqrt(marginal_variances(truth)[0])
-    cut = windows.copy()
-    cut[:, 0] = rng.standard_normal(cfg.mc_draws) * marg_std  # observed coordinate, slot 0
-    noise = rng.standard_normal((cfg.mc_draws, cfg.omega, truth.d)) * math.sqrt(
-        truth.noise_variance
-    )
-    targets = _forward(truth, cut, cfg.omega, noise)[:, 0]
-    # The scalar model sees the observed coordinate of each window step.
-    obs = cut[:, 0 :: truth.d][:, :p_fit]
-    weights = fitted.power(cfg.omega)[0]
-    preds = obs @ weights
-    return float(((targets - preds) ** 2).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -731,33 +727,28 @@ def bucket_by_kappa(records, bucket_size: int) -> tuple[list[BucketSummary], int
 def _metadata(
     cfg: ExperimentConfig, records, skipped: dict, bucket_dropped, counts: dict, sampling: dict
 ) -> dict:
-    # Confounded runs have no analytic causal risk; thm1 bounds the MC one.
-    g_field = "g_mc" if cfg.mode == "confounded" else "g_analytic"
-    prop1_viol = sum(
-        1
-        for r in records
-        if math.isfinite(r.prop1_rhs)
-        and math.isfinite(r.abs_diff)
-        and r.abs_diff > r.prop1_rhs + 1e-9 * (1.0 + abs(r.prop1_rhs))
-    )
-    thm1_viol = sum(
-        1
-        for r in records
-        if math.isfinite(r.thm1_rhs)
-        and math.isfinite(getattr(r, g_field))
-        and getattr(r, g_field) > r.thm1_rhs + 1e-9 * (1.0 + abs(r.thm1_rhs))
-    )
     return {
         "config": cfg.to_mapping(),
         "n_records": len(records),
         "skipped": sum(skipped.values()),
         "skipped_by_reason": skipped,
         "bucket_dropped_tail": int(bucket_dropped),
-        "prop1_violations": prop1_viol,
-        "thm1_violations": thm1_viol,
+        **{key: _violations(records, lhs, rhs) for key, (lhs, rhs) in VIOLATIONS.items()},
         **counts,
         "sampling": sampling,
     }
+
+
+def _violations(records, lhs: str, rhs: str) -> int:
+    """Records whose field ``lhs`` exceeds their bound ``rhs`` beyond rounding;
+    a record where either is not finite is not counted."""
+    return sum(
+        1
+        for value, bound in ((getattr(r, lhs), getattr(r, rhs)) for r in records)
+        if math.isfinite(value)
+        and math.isfinite(bound)
+        and value > bound + 1e-9 * (1.0 + abs(bound))
+    )
 
 
 def _format_value(value) -> str:

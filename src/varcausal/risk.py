@@ -485,14 +485,19 @@ def mc_stat_risk(
 
 
 def mc_causal_risk(
-    pair: ModelPair, spec: InterventionSpec, draws: int, seed: int | np.random.Generator
+    pair: ModelPair, spec: InterventionSpec, draws: int, seed: int | np.random.Generator,
+    component: int | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo interventional risk; same sampling scheme as ``mc_stat_risk``
     with window surgery applied before the forward roll.  Returns
-    ``(mean, standard error)``."""
+    ``(mean, standard error)`` of the error summed over output components, or
+    of output ``component`` (1-based) alone."""
     _, cut, noise, weights = _mc_intervened(pair, spec, draws, seed)
     targets = _forward(pair.truth, cut, spec.omega, noise)
-    sq = ((targets - cut @ weights.T) ** 2).sum(axis=1)
+    if component is None:
+        sq = ((targets - cut @ weights.T) ** 2).sum(axis=1)
+    else:
+        sq = (targets[:, component - 1] - cut @ weights[component - 1]) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(draws))
 
 

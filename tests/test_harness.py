@@ -303,49 +303,82 @@ class TestConfounded:
         assert res.metadata["prop1_violations"] >= 0
 
     def test_diagonal_coupling_reduces_to_independent_ar1(self):
-        # Zero cross-coupling: the observed coordinate is its own AR(1), so a
-        # correctly specified scalar fit has matching causal and statistical
-        # risk up to Monte-Carlo noise.
-        from varcausal.harness import _confounded_mc_risk
+        # Zero cross-coupling: the observed coordinate is its own AR(1), so the
+        # correctly specified scalar fit, embedded in the bivariate truth, has
+        # causal and statistical risk equal to the noise variance, and Monte
+        # Carlo agrees up to its noise.
+        from varcausal.harness import _embedded, _spec
         from varcausal.process import VarModel
+        from varcausal.risk import ModelPair, causal_risk, mc_causal_risk, stat_risk
         from varcausal.seeding import derive_rng
 
         truth = VarModel.from_coeffs([np.diag([0.6, -0.3])])
-        fitted = VarModel.from_coeffs([0.6])
-        cfg = tiny_cfg(mc_draws=200_000)
-        g = _confounded_mc_risk(cfg, truth, fitted, 1, derive_rng(3))
+        pair = ModelPair(truth=truth, fitted=_embedded(VarModel.from_coeffs([0.6]), 2))
+        spec = _spec(1, "single", pair.nu)
+        assert causal_risk(pair, spec)[0] == pytest.approx(1.0, rel=1e-12)
+        assert stat_risk(pair, 1)[0] == pytest.approx(1.0, rel=1e-12)
+        g, _ = mc_causal_risk(pair, spec, 200_000, derive_rng(3), component=1)
         assert g == pytest.approx(1.0, rel=0.03)
 
-    def test_thm1_violations_compare_the_mc_causal_risk(self):
-        # Confounded records have no analytic causal risk; the count must
-        # come from g_mc (process 18 of this config exceeds its bound).
+    def test_thm1_violations_compare_the_analytic_causal_risk(self):
+        # Confounded records carry the exact causal risk, and thm1 bounds it
+        # there as in every other mode.
         cfg = tiny_cfg(mode="confounded", n_processes=20, master_seed=9, mc_draws=1000)
         res = run(cfg)
         violations = sum(
-            1 for r in res.records if math.isfinite(r.thm1_rhs) and r.g_mc > r.thm1_rhs
+            1 for r in res.records if math.isfinite(r.thm1_rhs) and r.g_analytic > r.thm1_rhs
         )
         assert violations >= 1
         assert res.metadata["thm1_violations"] == violations
 
     def test_mc_draws_is_honoured(self, monkeypatch):
-        # Monte Carlo is the only causal-risk route here, so zero draws is a
-        # config error rather than a silent floor of 1000 draws.
-        from varcausal import harness
+        # Monte Carlo draws exactly mc_draws windows; with none, g_mc is NaN
+        # and the exact risks are still written.
+        from varcausal import risk
 
-        with pytest.raises(ConfigError):
-            tiny_cfg(mode="confounded", mc_draws=0)
         with pytest.raises(ConfigError):
             tiny_cfg(mc_draws=-1)
         asked = []
-        draw = harness._draw_windows
+        draw = risk._draw_windows
 
         def spy(truth, length, draws, rng):
             asked.append(draws)
             return draw(truth, length, draws, rng)
 
-        monkeypatch.setattr(harness, "_draw_windows", spy)
+        monkeypatch.setattr(risk, "_draw_windows", spy)
         run(tiny_cfg(mode="confounded", n_processes=2, mc_draws=200))
         assert asked and set(asked) == {200}
+        asked.clear()
+        res = run(tiny_cfg(mode="confounded", n_processes=2, mc_draws=0))
+        assert not asked and len(res.records) == 2
+        for r in res.records:
+            assert math.isnan(r.g_mc)
+            assert math.isfinite(r.s_analytic) and math.isfinite(r.g_analytic)
+
+    def test_mc_causal_risk_follows_its_chi_square_law(self):
+        # Each Monte-Carlo draw's error on the observed coordinate is a
+        # centred Gaussian whose variance is the exact causal risk, so
+        # n * g_mc / g_analytic is chi-square with n = mc_draws degrees of
+        # freedom.  Laurent and Massart (2000, Lemma 1) bound its tails:
+        # P(X - n >= 2 sqrt(n x) + 2 x) <= e^-x and P(n - X >= 2 sqrt(n x))
+        # <= e^-x; x splits a false-alarm rate of 1e-6 over both tails of
+        # every record.
+        cfg = tiny_cfg(mode="confounded", n_processes=30, orders=(1, 3), omega=2, mc_draws=300)
+        res = run(cfg)
+        n = cfg.mc_draws
+        x = math.log(2 * len(res.records) / 1e-6)
+        assert len(res.records) == 60
+        for r in res.records:
+            stat = n * r.g_mc / r.g_analytic
+            assert n - 2 * math.sqrt(n * x) < stat < n + 2 * math.sqrt(n * x) + 2 * x
+
+    def test_every_fit_order_has_records(self):
+        # One block of processes per fit order, as in standard mode.
+        res = run(tiny_cfg(mode="confounded", n_processes=4, orders=(1, 3), mc_draws=0))
+        assert res.metadata["skipped"] == 0
+        assert [(r.process_id, r.order_fit) for r in res.records] == [
+            (pid, 1 if pid < 4 else 3) for pid in range(8)
+        ]
 
 
 class TestDerivedQuantitiesOnce:

@@ -10,7 +10,8 @@ PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
 * the three ``perfbench/workloads.py`` workloads (read from CHANGE) at the
   master seeds 48, 96, 144, 192 and 240, the first seed of each of
   perfbench's runs 1 to 5;
-* one config per mode, with all four estimators in standard mode;
+* one config per mode, with all four estimators in standard mode and two fit
+  orders at horizon 3 in confounded mode;
 * misspecified orders (``order_pairs``), where the fit and true orders differ;
 * orders 7 and 8 with ``max_tries = 3000``, where sampling skips processes;
 * order 10, whose state dimension takes the bilinear Lyapunov solver.
@@ -53,8 +54,8 @@ EXTRA = {
         6,
     ),
     "confounded": (
-        {"mode": "confounded", "orders": 2, "n_processes": 20, "mc_draws": 200,
-         "bucket_size": 5},
+        {"mode": "confounded", "orders": "2,5", "omega": 3, "n_processes": 20,
+         "mc_draws": 200, "bucket_size": 5},
         7,
     ),
     "order_pairs": (
