@@ -15,16 +15,19 @@ Objectives (per target column, ``T`` usable rows):
 Ridge is closed form through a thin SVD of the design, which gives every
 strength at once.  Lasso and elastic net share one exact solver,
 ``_enet_solve``: feature-sign search in covariance form (on ``X'X/T`` and
-``X'y/T``) over a batch of independent problems (one per target column, and
-in cross-validation one per fold, mix and target), each result certified by
-its duality gap.  Cross-validation walks the strength grid from strong to
-weak, warm-starting each batch from the last.  ``lam = 0`` reduces every
-estimator to OLS.
+``X'y/T``) over a batch of independent problems, each result certified by
+its duality gap; any batch gives a problem the same result.
+:func:`fit_cv_batch` cross-validates many designs at once: per number of
+design columns, one batch holds every (design, fold, mix, target) problem
+and walks the strength grid from strong to weak, warm-starting each
+strength from the last, and one cold batch holds every final refit (one
+problem per target).  :func:`fit_cv` is that batch with one design.
+``lam = 0`` reduces every estimator to OLS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -323,35 +326,63 @@ def fit_regularized(
         raise BadInputError("lam must be non-negative")
     if not 0.0 <= mix <= 1.0:
         raise BadInputError("mix must lie in [0, 1]")
-    if estimator == OLS or lam == 0.0:
-        res = fit_ols(design)
-        if estimator != OLS:
-            res = FitResult(
-                model=res.model,
-                estimator=estimator,
-                lam=0.0,
-                mix=mix if estimator == ELASTIC_NET else (1.0 if estimator == LASSO else 0.0),
-                cv_score=None,
-                rank_deficient=res.rank_deficient,
-                converged=True,
-                duality_gap=0.0,
-                coef_matrix=res.coef_matrix,
-            )
-        return res
-    if estimator == RIDGE or (estimator == ELASTIC_NET and mix == 0.0):
-        beta = _ridge_path(design.x, design.y, [lam])[0]
-        return _result_from_beta(design, beta, estimator, lam, 0.0, None, False, True, 0.0)
+    return _fixed_fits([(design, estimator, lam, mix)])[0]
 
-    eff_mix = 1.0 if estimator == LASSO else mix
-    gram, xty, yy = _moments(design.x, design.y)
-    strength = np.full(design.d, lam)
-    beta, ok, gap = _enet_solve(
-        gram, xty, yy, strength * eff_mix, strength * (1.0 - eff_mix), np.zeros_like(xty)
-    )
-    worst_gap = max(0.0, float(gap.max()))
-    return _result_from_beta(
-        design, beta.T, estimator, lam, eff_mix, None, False, bool(ok.all()), worst_gap
-    )
+
+def _fixed_fits(items) -> list[FitResult]:
+    """:func:`fit_regularized` of each checked ``(design, estimator, lam, mix)``.
+
+    The lasso and elastic-net fits with the same number of design columns
+    share one cold ``_enet_solve`` call, one row per target; any batch gives
+    a row the same result, so each fit has the bits of its own call.
+    """
+    out: list = [None] * len(items)
+    solves: dict[int, list[int]] = {}
+    for i, (design, estimator, lam, mix) in enumerate(items):
+        if estimator == OLS or lam == 0.0:
+            res = fit_ols(design)
+            if estimator != OLS:
+                res = FitResult(
+                    model=res.model,
+                    estimator=estimator,
+                    lam=0.0,
+                    mix=mix if estimator == ELASTIC_NET else (1.0 if estimator == LASSO else 0.0),
+                    cv_score=None,
+                    rank_deficient=res.rank_deficient,
+                    converged=True,
+                    duality_gap=0.0,
+                    coef_matrix=res.coef_matrix,
+                )
+            out[i] = res
+        elif estimator == RIDGE or (estimator == ELASTIC_NET and mix == 0.0):
+            beta = _ridge_path(design.x, design.y, [lam])[0]
+            out[i] = _result_from_beta(design, beta, estimator, lam, 0.0, None, False, True, 0.0)
+        else:
+            solves.setdefault(design.x.shape[1], []).append(i)
+    for idx in solves.values():
+        designs = [items[i][0] for i in idx]
+        targets = [design.d for design in designs]
+        moments = [_moments(design.x, design.y) for design in designs]
+        eff_mix = [1.0 if items[i][1] == LASSO else items[i][3] for i in idx]
+        strength = np.repeat([items[i][2] for i in idx], targets)
+        mix = np.repeat(eff_mix, targets)
+        xty = np.concatenate([m[1] for m in moments])
+        beta, ok, gap = _enet_solve(
+            np.repeat(np.stack([m[0] for m in moments]), targets, axis=0),
+            xty,
+            np.concatenate([m[2] for m in moments]),
+            strength * mix,
+            strength * (1.0 - mix),
+            np.zeros_like(xty),
+        )
+        ends = np.cumsum(targets)[:-1]
+        for i, w, b, o, g in zip(idx, eff_mix, *(np.split(a, ends) for a in (beta, ok, gap))):
+            design, estimator, lam, _ = items[i]
+            worst_gap = max(0.0, float(g.max()))
+            out[i] = _result_from_beta(
+                design, b.T, estimator, lam, w, None, False, bool(o.all()), worst_gap
+            )
+    return out
 
 
 def _fold_slices(t_rows: int, folds: int, shuffle: bool, seed) -> list[np.ndarray]:
@@ -376,104 +407,145 @@ def fit_cv(
     Folds are contiguous row blocks by default, preserving temporal adjacency
     within folds (set ``shuffle`` for randomized folds).  Mean validation MSE
     is minimized over the grid; ties break toward the larger strength.  The
-    mixing grid applies to the elastic net only.
+    mixing grid applies to the elastic net only.  This is
+    :func:`fit_cv_batch` with one member.
     """
     if estimator not in ESTIMATORS:
         raise BadInputError(f"unknown estimator {estimator!r}")
-    if estimator == OLS:
-        return fit_ols(build_design(path, p))
-    if folds < 2:
-        raise BadInputError("folds must be at least 2")
-    lam_grid = list(lam_grid)
-    if not lam_grid:
-        raise BadInputError("empty regularization grid")
-    mixes = list(mix_grid) if estimator == ELASTIC_NET else [1.0 if estimator == LASSO else 0.0]
-    if not mixes:
-        raise BadInputError("empty mixing grid")
-    if any(lam < 0 for lam in lam_grid):
-        raise BadInputError("lam must be non-negative")
-    if not all(0.0 <= mix <= 1.0 for mix in mixes):
-        raise BadInputError("mix must lie in [0, 1]")
-
     design = build_design(path, p)
-    if design.t_rows < folds:
-        raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
-    parts = _fold_slices(design.t_rows, folds, shuffle, seed)
+    return fit_cv_batch([(design, estimator, folds)], lam_grid, mix_grid, seed, shuffle)[0]
+
+
+def fit_cv_batch(
+    jobs,
+    lam_grid=DEFAULT_LAMBDA_GRID,
+    mix_grid=DEFAULT_MIX_GRID,
+    seed: int = 0,
+    shuffle: bool = False,
+) -> list[FitResult]:
+    """:func:`fit_cv` of each ``(design, estimator, folds)`` job, on one grid.
+
+    The lasso and elastic-net jobs with the same number of design columns
+    walk the strength grid together, one ``_enet_solve`` call per strength
+    (see :func:`_path_coefs`), and their final refits share one cold call
+    (see :func:`_fixed_fits`).  Any batch gives a row the same result, so
+    each job gets the bits of its own :func:`fit_cv` call.
+    """
+    jobs = list(jobs)
+    lam_grid, mix_grid = list(lam_grid), list(mix_grid)
+    cv_jobs = []
+    out: list = [None] * len(jobs)
+    for i, (design, estimator, folds) in enumerate(jobs):
+        if estimator not in ESTIMATORS:
+            raise BadInputError(f"unknown estimator {estimator!r}")
+        if estimator == OLS:
+            out[i] = fit_ols(design)
+            continue
+        if folds < 2:
+            raise BadInputError("folds must be at least 2")
+        if not lam_grid:
+            raise BadInputError("empty regularization grid")
+        mixes = mix_grid if estimator == ELASTIC_NET else [float(estimator == LASSO)]
+        if not mixes:
+            raise BadInputError("empty mixing grid")
+        if any(lam < 0 for lam in lam_grid):
+            raise BadInputError("lam must be non-negative")
+        if not all(0.0 <= mix <= 1.0 for mix in mixes):
+            raise BadInputError("mix must lie in [0, 1]")
+        if design.t_rows < folds:
+            raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
+        parts = _fold_slices(design.t_rows, folds, shuffle, seed)
+        cv_jobs.append((i, design, parts, sorted(set(mixes))))
+
     # Strong to weak, so each lasso / elastic-net batch warm-starts the next.
     lams = sorted(set(lam_grid), reverse=True)
-    mixes = sorted(set(mixes))
-    err = np.zeros((len(mixes), len(lams)))
-    for val_idx, coef in zip(parts, _path_coefs(design, parts, lams, mixes)):
-        pred = design.x[val_idx] @ coef
-        err += ((design.y[val_idx] - pred) ** 2).mean(axis=(-2, -1))
-    cv = err / len(parts)
+    coefs = _path_coefs([job[1:] for job in cv_jobs], lams)
+    picks = []
+    for (i, design, parts, mixes), path_coefs in zip(cv_jobs, coefs):
+        err = np.zeros((len(mixes), len(lams)))
+        for val_idx, coef in zip(parts, path_coefs):
+            pred = design.x[val_idx] @ coef
+            err += ((design.y[val_idx] - pred) ** 2).mean(axis=(-2, -1))
+        cv = err / len(parts)
 
-    # Walk the grid sorted by (lam, mix); <= lets the larger strength win
-    # exact ties.
-    best = None
-    for l in reversed(range(len(lams))):
-        for i, mix in enumerate(mixes):
-            if best is None or cv[i, l] <= best[0]:
-                best = (float(cv[i, l]), lams[l], mix)
+        # Walk the grid sorted by (lam, mix); <= lets the larger strength
+        # win exact ties.
+        best = None
+        for l in reversed(range(len(lams))):
+            for m, mix in enumerate(mixes):
+                if best is None or cv[m, l] <= best[0]:
+                    best = (float(cv[m, l]), lams[l], mix)
+        picks.append((i, best))
 
-    score, lam, mix = best
-    final = fit_regularized(design, estimator, lam, mix)
-    return FitResult(
-        model=final.model,
-        estimator=estimator,
-        lam=lam,
-        mix=final.mix,
-        cv_score=score,
-        rank_deficient=final.rank_deficient,
-        converged=final.converged,
-        duality_gap=final.duality_gap,
-        coef_matrix=final.coef_matrix,
-    )
+    finals = _fixed_fits([(jobs[i][0], jobs[i][1], lam, mix) for i, (_, lam, mix) in picks])
+    for (i, (score, lam, _)), final in zip(picks, finals):
+        out[i] = replace(final, lam=lam, cv_score=score)
+    return out
 
 
-def _path_coefs(design: LaggedDesign, parts: list, lams: list, mixes: list) -> np.ndarray:
-    """Coefficients (F, M, L, k, d) for every fold in ``parts`` (trained on
-    the other rows), l1 weight in ascending ``mixes`` and strength in
-    descending ``lams``.
+def _path_coefs(jobs, lams: list) -> list[np.ndarray]:
+    """Coefficients (F, M, L, k, d) of each ``(design, parts, mixes)`` job:
+    for every fold in ``parts`` (trained on the other rows), l1 weight in
+    ascending ``mixes`` and strength in the descending ``lams`` all jobs
+    share.
 
     Weight 0 is ridge, every strength from one SVD per fold.  Strength 0 is
     minimum-norm least squares.  Every other cell is one row of a single
-    ``_enet_solve`` batch per strength: all (fold, weight, target) rows walk
-    the strengths from strong to weak together, each row's feature-sign
-    search starting from its solution at the previous strength.
+    ``_enet_solve`` batch per strength and number of design columns: all
+    (job, fold, weight, target) rows walk the strengths from strong to weak
+    together, each row's feature-sign search starting from its solution at
+    the previous strength.  Lasso is the weight-1 row, so lasso and elastic
+    net share the walk.
     """
-    k, d = design.x.shape[1], design.d
-    out = np.empty((len(parts), len(mixes), len(lams), k, d))
     pos = [lam for lam in lams if lam > 0.0]
-    l1_mix = np.array([mix for mix in mixes if mix > 0.0])
-    moments = []
-    for f, val_idx in enumerate(parts):
-        mask = np.ones(design.t_rows, dtype=bool)
-        mask[val_idx] = False
-        x, y = design.x[mask], design.y[mask]
-        if len(pos) < len(lams):
-            out[f, :, -1] = np.linalg.lstsq(x, y, rcond=None)[0]
-        if len(l1_mix) < len(mixes):
-            out[f, 0, : len(pos)] = _ridge_path(x, y, pos)
-        if pos and l1_mix.size:
-            moments.append(_moments(x, y))
-    if not moments:
-        return out
-    # Rows ordered (fold, weight, target).
-    per_fold = l1_mix.size * d
-    fold_grams = np.stack([m[0] for m in moments])
-    gram = np.repeat(fold_grams, per_fold, axis=0)
+    outs, walks = [], {}
+    for design, parts, mixes in jobs:
+        k, d = design.x.shape[1], design.d
+        out = np.empty((len(parts), len(mixes), len(lams), k, d))
+        l1_mix = [mix for mix in mixes if mix > 0.0]
+        for f, val_idx in enumerate(parts):
+            mask = np.ones(design.t_rows, dtype=bool)
+            mask[val_idx] = False
+            x, y = design.x[mask], design.y[mask]
+            if len(pos) < len(lams):
+                out[f, :, -1] = np.linalg.lstsq(x, y, rcond=None)[0]
+            if len(l1_mix) < len(mixes):
+                out[f, 0, : len(pos)] = _ridge_path(x, y, pos)
+            if pos and l1_mix:
+                cells = out[f, len(mixes) - len(l1_mix) :, : len(pos)]
+                walks.setdefault(k, []).append((cells, _moments(x, y), l1_mix))
+        outs.append(out)
+    for folds in walks.values():
+        _walk(folds, pos)
+    return outs
+
+
+def _walk(folds: list, lams: list) -> None:
+    """Fill each fold's ``cells`` (M, L, k, d) along the positive, descending
+    ``lams``: one ``_enet_solve`` call per strength for every (fold, weight,
+    target) row, in that order.
+
+    ``folds`` holds ``(cells, moments, l1 weights)`` of one number of design
+    columns.  While every |X'y/T| <= l1 zero is each row's exact solution
+    and the call is skipped; a row that is there in a batch that does run
+    stays exactly at zero, so any batch gives a row the same result.
+    """
+    per_fold = [len(mixes) * len(m[2]) for _, m, mixes in folds]
+    grams = np.stack([m[0] for _, m, _ in folds])
+    gram = np.repeat(grams, per_fold, axis=0)
     # Every strength solves the same Gram matrices: one rank test's spectrum.
-    eig = np.repeat(np.linalg.eigvalsh(fold_grams), per_fold, axis=0)
-    xty = np.concatenate([np.tile(m[1], (l1_mix.size, 1)) for m in moments])
-    yy = np.concatenate([np.tile(m[2], l1_mix.size) for m in moments])
-    mix = np.tile(np.repeat(l1_mix, d), len(parts))
+    eig = np.repeat(np.linalg.eigvalsh(grams), per_fold, axis=0)
+    xty = np.concatenate([np.tile(m[1], (len(mixes), 1)) for _, m, mixes in folds])
+    yy = np.concatenate([np.tile(m[2], len(mixes)) for _, m, mixes in folds])
+    mix = np.concatenate([np.repeat(mixes, len(m[2])) for _, m, mixes in folds])
     beta = np.zeros_like(xty)
     reach = np.abs(xty).max(axis=1)
-    for l, lam in enumerate(pos):
+    path = np.empty((len(lams), *beta.shape))
+    for l, lam in enumerate(lams):
         l1 = lam * mix
-        # While every |X'y/T| <= l1, zero is each row's exact solution.
         if (reach > l1).any():
             beta = _enet_solve(gram, xty, yy, l1, lam * (1.0 - mix), beta, eig)[0]
-        out[:, -l1_mix.size :, l] = beta.reshape(len(parts), l1_mix.size, d, k).swapaxes(2, 3)
-    return out
+        path[l] = beta
+    k = xty.shape[1]
+    for (cells, m, mixes), rows in zip(folds, np.split(path, np.cumsum(per_fold)[:-1], axis=1)):
+        cells[...] = rows.reshape(len(lams), len(mixes), -1, k).transpose(1, 0, 3, 2)

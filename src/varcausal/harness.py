@@ -20,10 +20,13 @@ only in data:
                      and violations are counted, not hidden.
 
 Processes run ``CHUNK_PROCESSES`` at a time.  A chunk's truths are sampled
-and set up together; each process then simulates its paths and fits them;
-then the fits' spectra, the companion powers, the window eigenvalues and the
-analytic risks of every record of the chunk are computed in stacked calls
-(:func:`risk.prepare_pairs`), and last each record reads them and adds its
+and set up together; each process then simulates its paths; then every
+path is fit, OLS and ridge one at a time and the lasso and elastic-net
+cross-validations of one training size in one batch
+(:func:`estimators.fit_cv_batch`); then the fits' spectra, the companion
+powers, the window eigenvalues and the analytic risks of every record of
+the chunk are computed in stacked calls (:func:`process.prepare_spectra`,
+:func:`risk.prepare_pairs`), and last each record reads them and adds its
 own draws: Monte Carlo, the empirical risk and the thm1 bound.
 
 Everything is a pure function of the config (including the master seed).
@@ -52,7 +55,16 @@ from .bounds import (
     thm1_bound,
 )
 from .errors import ConfigError, NumericalError
-from .estimators import ESTIMATORS, OLS, FitResult, build_design, fit_cv, fit_ols
+from .estimators import (
+    ESTIMATORS,
+    OLS,
+    RIDGE,
+    FitResult,
+    build_design,
+    fit_cv,
+    fit_cv_batch,
+    fit_ols,
+)
 from .interventions import InterventionSpec
 from .process import (
     SAMPLE_COUNTS,
@@ -60,6 +72,7 @@ from .process import (
     VarModel,
     empirical_autocov,
     prepare_models,
+    prepare_spectra,
     rejection_sample_block,
     simulate,
 )
@@ -294,17 +307,26 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int) -> list:
+def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int, batch: list) -> list:
     """Each estimator's fit of ``train``, in ``cfg.estimators`` order; a fit
-    that raises ``NumericalError`` ends the list with its error."""
+    that raises ``NumericalError`` ends the list with its error.
+
+    OLS and ridge are fit here.  A lasso or elastic-net fit is left as
+    ``None``, and ``(list, index, job)`` is appended to ``batch`` for
+    :func:`fit_cv_batch` to fill in.
+    """
     fits: list = []
     for estimator in cfg.estimators:
         try:
             if estimator == OLS:
                 fits.append(fit_ols(build_design(train, p_fit)))
-            else:
-                folds = max(2, min(cfg.cv_folds, train.n - p_fit))
+                continue
+            folds = max(2, min(cfg.cv_folds, train.n - p_fit))
+            if estimator == RIDGE:
                 fits.append(fit_cv(train, p_fit, estimator, folds=folds))
+            else:
+                batch.append((fits, len(fits), (build_design(train, p_fit), estimator, folds)))
+                fits.append(None)
         except NumericalError as exc:
             fits.append(exc)
             break
@@ -428,13 +450,15 @@ def run(cfg: ExperimentConfig) -> RunResult:
     ``(b + 1) * n_processes - 1``.  Each process draws one truth and one test
     path, then, per training size, one training path that every estimator
     fits; each fit is scored in every (omega, regime) cell of
-    :func:`_cells`.  The processes run ``CHUNK_PROCESSES`` at a time: their
-    truths are sampled and set up together (see :func:`_truths`), then each
-    process simulates and fits (:func:`_chunk_units`), then the risks and
-    window eigenvalues of every (fit, cell) of the chunk are computed in
-    stacked calls (:func:`prepare_pairs`), and last each unit is scored
-    (:func:`_score`).  A (process, size) unit whose truth exhausts
-    ``max_tries``, or whose simulation, fit or scoring raises
+    :func:`_cells`.  The processes run ``CHUNK_PROCESSES`` at a time, in
+    phases: their truths are sampled and set up together (see
+    :func:`_truths`); each process simulates its paths, then every unit is
+    fit, the lasso and elastic-net fits of one size in one batch (see
+    :func:`_chunk_units`); the fits' spectra, and the risks and window
+    eigenvalues of every (fit, cell) of the chunk, are computed in stacked
+    calls (:func:`prepare_spectra`, :func:`prepare_pairs`); and last each
+    unit is scored (:func:`_score`).  A (process, size) unit whose truth
+    exhausts ``max_tries``, or whose simulation, fit or scoring raises
     ``NumericalError``, has no records and counts once in ``skipped`` and
     under its reason in ``skipped_by_reason``.
     """
@@ -449,6 +473,10 @@ def run(cfg: ExperimentConfig) -> RunResult:
         tally = sampling.setdefault(str(q_true), dict.fromkeys(SAMPLE_COUNTS, 0))
         for chunk in _truths(cfg, pids, q_true, d, tally):
             units = _chunk_units(cfg, chunk, p_fit, sizes, per_size, skipped)
+            # Records read each fit's own spectrum, never its embedding's.
+            prepare_spectra(
+                [fit.model for unit in units for fit in unit.fits if isinstance(fit, FitResult)]
+            )
             prepare_pairs(
                 (pair, spec) for unit in units for pair in unit.pairs for spec in _specs(cfg, pair)
             )
@@ -482,8 +510,34 @@ class _Unit:
 def _chunk_units(
     cfg: ExperimentConfig, chunk, p_fit: int, sizes, per_size, skipped: dict
 ) -> list[_Unit]:
-    """Simulate and fit every (process, size) unit of ``chunk``, a list of
-    (process id, truth); units that fail here are counted in ``skipped``."""
+    """Simulate, then fit, every (process, size) unit of ``chunk``, a list of
+    (process id, truth); units that fail to simulate are counted in
+    ``skipped``.
+
+    The simulate phase draws each process's test path and, per size, its
+    training path.  The fit phase runs :func:`_fits` on each unit, and then
+    the lasso and elastic-net cross-validations of every unit of one
+    training size in one :func:`fit_cv_batch` call.
+    """
+    units = _simulated_units(cfg, chunk, sizes, per_size, skipped)
+    batches: dict[int, list] = {}
+    for unit in units:
+        unit.fits = _fits(cfg, unit.train, p_fit, batches.setdefault(unit.train.n, []))
+    for batch in batches.values():
+        for (fits, k, _), fit in zip(batch, fit_cv_batch([job for _, _, job in batch])):
+            fits[k] = fit
+    for unit in units:
+        unit.pairs = [
+            ModelPair(truth=unit.truth, fitted=_embedded(fit.model, unit.truth.d))
+            for fit in unit.fits
+            if isinstance(fit, FitResult)
+        ]
+    return units
+
+
+def _simulated_units(cfg: ExperimentConfig, chunk, sizes, per_size, skipped: dict) -> list[_Unit]:
+    """A unit, not yet fit, for every (process, size) of ``chunk`` whose
+    paths simulate; the others are counted in ``skipped``."""
     confounded = cfg.mode == "confounded"
     units = []
     for pid, truth in chunk:
@@ -505,13 +559,7 @@ def _chunk_units(
                 skipped["simulation"] += 1
                 continue
             train = _observed(train) if confounded else train
-            fits = _fits(cfg, train, p_fit)
-            pairs = [
-                ModelPair(truth=truth, fitted=_embedded(fit.model, truth.d))
-                for fit in fits
-                if isinstance(fit, FitResult)
-            ]
-            units.append(_Unit(pid, truth, train, test, fits, pairs, recs))
+            units.append(_Unit(pid, truth, train, test, [], [], recs))
     return units
 
 

@@ -42,7 +42,6 @@ from .process import (
     SamplePath,
     VarModel,
     prepare_powers,
-    prepare_spectra,
     prepare_windows,
 )
 from .seeding import as_rng
@@ -101,14 +100,16 @@ class ModelPair:
 def prepare_pairs(items) -> None:
     """Fill the values the records of each ``(pair, spec)`` in ``items`` read.
 
-    ``spec`` is an atomic intervention.  Each pair gets its fit's spectrum,
-    the powers of both lifted companions at ``spec.omega`` (and of the fit's
-    own companion), the eigenvalues of its window and of the window's
-    correlation, and its memoized row difference, noise floor, statistical
-    risk, intervened window and causal risk.  Values of one shape share one
-    stacked call each, which gives every pair the bits of its own calls.  A
-    pair whose value fails keeps it unset, so reading it raises as it would
-    have alone.
+    ``spec`` is an atomic intervention.  Each pair gets the powers of both
+    lifted companions at ``spec.omega`` (and of the fit's own companion),
+    the eigenvalues of its window and of the window's correlation, and its
+    memoized row difference, noise floor, statistical risk, intervened
+    window and causal risk.  Values of one shape share one stacked call
+    each, which gives every pair the bits of its own calls.  A pair whose
+    value fails keeps it unset, so reading it raises as it would have
+    alone.  Spectra are left to the caller (see
+    :func:`process.prepare_spectra`), which knows whose it reads: a pair's
+    fit may embed the model the caller scores.
     """
     items = list(items)
     pairs = list({id(pair): pair for pair, _ in items}.values())
@@ -117,7 +118,6 @@ def prepare_pairs(items) -> None:
         [(m, pair.nu, omega) for pair, omega in horizons for m in (pair.truth, pair.fitted)]
         + [(pair.fitted, pair.fitted.p, omega) for pair, omega in horizons]
     )
-    prepare_spectra([pair.fitted for pair in pairs])
     prepare_windows([pair.autocov() for pair in pairs if _stable_truth(pair)])
     for name, compute in (("delta", _deltas), ("floor", _floors), ("stat", _stat_risks)):
         _fill_pairs(horizons, name, compute)

@@ -14,6 +14,7 @@ from varcausal.estimators import (
     LaggedDesign,
     build_design,
     fit_cv,
+    fit_cv_batch,
     fit_ols,
     fit_regularized,
 )
@@ -484,3 +485,77 @@ class TestFitCV:
         noise = simulate(VarModel.from_coeffs([0.0]), 200, 4)
         cv = fit_cv(noise, 2, "lasso", lam_grid=[5.0, 20.0, 10.0])
         assert cv.lam == 20.0 and not cv.coef_matrix.any()
+
+
+def bits(value) -> bytes:
+    """The bytes of a float or array: tells 0.0 from -0.0, unlike ==."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def fold_reach(design, folds):
+    """The largest |X'y/T| over the training folds of ``design``."""
+    out = 0.0
+    for val_idx in estimators._fold_slices(design.t_rows, folds, False, 0):
+        mask = np.ones(design.t_rows, dtype=bool)
+        mask[val_idx] = False
+        out = max(out, float(np.abs(estimators._moments(design.x[mask], design.y[mask])[1]).max()))
+    return out
+
+
+class TestFitCVBatch:
+    @staticmethod
+    def _jobs():
+        """(path, order, estimator, folds): lasso and elastic net on order 3;
+        d = 2 beside a scalar order-4 path (both 4 columns); a 6-step path at
+        order 3, whose 3 folds each train on 2 rows for 3 lags (singular
+        Gram matrices); and a nearly silent path, whose every |X'y/T| is
+        below the strengths where the louder paths' walks start."""
+        loud = simulate(random_stable_model(np.random.default_rng(1), 3), 150, 1)
+        d2 = oracle_paths()[2][1]
+        order4 = simulate(VarModel.from_coeffs([0.4, 0.0, 0.0, 0.2]), 90, 8)
+        short = simulate(VarModel.from_coeffs([0.5, -0.2, 0.1]), 6, 9)
+        noise = simulate(VarModel.from_coeffs([0.0]), 120, 4)
+        quiet = SamplePath(values=1e-3 * noise.values, seed=4, burn_in=0)
+        return [
+            (loud, 3, "lasso", 5), (loud, 3, "elasticNet", 5),
+            (d2, 2, "lasso", 5), (d2, 2, "elasticNet", 5), (order4, 4, "lasso", 4),
+            (short, 3, "lasso", 3), (short, 3, "elasticNet", 3),
+            (quiet, 3, "lasso", 5),
+        ]
+
+    def test_batch_equals_one_fit_cv_per_path(self, monkeypatch):
+        jobs = self._jobs()
+        alone = [fit_cv(path, p, est, folds=folds) for path, p, est, folds in jobs]
+        calls = []
+        solve = estimators._enet_solve
+        monkeypatch.setattr(estimators, "_enet_solve", lambda *a: calls.append(0) or solve(*a))
+        batch = fit_cv_batch([(build_design(path, p), est, folds) for path, p, est, folds in jobs])
+        # Two column counts: one walk of the grid and one cold refit each.
+        assert len(calls) <= 2 * (len(DEFAULT_LAMBDA_GRID) + 1)
+        for (_, _, est, _), got, want in zip(jobs, batch, alone):
+            assert got.estimator == want.estimator == est
+            assert (got.lam, got.mix, got.converged) == (want.lam, want.mix, want.converged)
+            assert got.rank_deficient == want.rank_deficient
+            for a, b in [
+                (got.cv_score, want.cv_score), (got.duality_gap, want.duality_gap),
+                (got.coef_matrix, want.coef_matrix),
+                (got.model.noise_variance, want.model.noise_variance),
+            ]:
+                assert bits(a) == bits(b)
+
+    def test_row_skipped_alone_stays_exactly_zero_in_a_batch(self):
+        jobs = self._jobs()
+        loud, quiet = (build_design(path, p) for path, p, _, _ in (jobs[0], jobs[-1]))
+        lams = sorted(DEFAULT_LAMBDA_GRID, reverse=True)
+        walks = [(d, estimators._fold_slices(d.t_rows, 5, False, 0), [1.0]) for d in (loud, quiet)]
+        alone = estimators._path_coefs(walks[1:], lams)[0]
+        together = estimators._path_coefs(walks, lams)[1]
+        assert bits(together) == bits(alone)
+        # At these strengths the quiet job's own walk skips the solver, and
+        # the batch runs it from zero, where it stays.
+        runs = [
+            l for l, lam in enumerate(lams)
+            if fold_reach(quiet, 5) <= lam < fold_reach(loud, 5)
+        ]
+        assert runs
+        assert not together[:, :, runs].any() and not np.signbit(together[:, :, runs]).any()

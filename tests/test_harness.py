@@ -489,6 +489,11 @@ class TestDerivedQuantitiesOnce:
             {"eigvalsh": 6, "matrix_power": 12},
         )
         assert sorted(lengths) == [20] * 3 + [40] * 3 + [60] * 3 + [1000] * 3
+        # Confounded records read the truths' spectra and the scalar fits'
+        # own: one stacked call each, and none for the fits' bivariate
+        # embeddings.
+        calls, models, _ = one_chunk(mode="confounded")
+        assert (calls["_spectra"], models["_spectra"]) == (2, 6)
 
 
 class TestChunks:
@@ -504,6 +509,13 @@ class TestChunks:
             {"orders": (2,), "order_pairs": ((4, 2), (1, 3)), "n_processes": 5},
             # Scoring fails for process 3 (see below).
             {"orders": (3,), "n_processes": 7, "fail_pid": 3},
+            # Cross-validated in one batch per chunk; at size 12 the folds
+            # are rank-deficient.
+            {"orders": (3,), "n_processes": 5, "estimators": ("lasso", "elasticNet")},
+            {
+                "mode": "sampleSweep", "orders": (5,), "n_processes": 5,
+                "sweep_train_sizes": (12, 100), "estimators": ("lasso",),
+            },
         ],
     )
     def test_chunk_size_does_not_change_outputs(self, monkeypatch, kw):
@@ -524,9 +536,11 @@ class TestChunks:
 
             monkeypatch.setattr(harness, "prop1_bound", fail_on_target)
 
+        to_csv = sweep_to_csv if kw.get("mode") == "sampleSweep" else summaries_to_csv
+
         def outputs():
             res = run(tiny_cfg(bucket_size=2, **kw))
-            summaries = {k: summaries_to_csv(v) for k, v in res.summaries.items()}
+            summaries = {k: to_csv(v) for k, v in res.summaries.items()}
             return records_to_csv(res.records), summaries, res.metadata
 
         default = outputs()
@@ -656,15 +670,16 @@ class TestFitCounters:
         assert run(cfg).metadata["fits_nonconverged"] == 0
         fits = []
 
-        def kept(path, p, estimator, **kw):
-            fit = estimators.fit_cv(path, p, estimator, **kw)
-            fits.append((estimators.build_design(path, p), fit))
-            return fit
+        def kept(jobs, *args, **kw):
+            jobs = list(jobs)
+            out = estimators.fit_cv_batch(jobs, *args, **kw)
+            fits.extend((design, fit) for (design, _, _), fit in zip(jobs, out))
+            return out
 
         # A cap of 0 would leave every fold fit at zero: all strengths would
         # tie, and the largest, where zero is exact, would win.
         monkeypatch.setattr(estimators, "MAX_STEPS", 1)
-        monkeypatch.setattr(harness, "fit_cv", kept)
+        monkeypatch.setattr(harness, "fit_cv_batch", kept)
         res = run(cfg)
         assert res.metadata["fits_nonconverged"] == sum(not f.converged for _, f in fits) > 0
         assert res.metadata["n_records"] == 3

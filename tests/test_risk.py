@@ -7,7 +7,7 @@ import pytest
 
 from varcausal.errors import BadInputError, NumericalError
 from varcausal.interventions import InterventionSpec, interventional_cov
-from varcausal.process import VarModel, exact_autocov, prepare_models, simulate
+from varcausal.process import VarModel, exact_autocov, prepare_models, prepare_spectra, simulate
 from varcausal.risk import (
     ModelPair,
     causal_risk,
@@ -110,6 +110,8 @@ class TestPreparePairs:
     def test_stacked_equals_one_at_a_time(self, omega):
         stacked, alone = self._pairs(), self._pairs()
         prepare_models([pair.truth for pair in stacked])
+        # As the harness does: prepare_pairs leaves the fits' spectra to its caller.
+        prepare_spectra([pair.fitted for pair in stacked])
         prepare_pairs([(pair, spec) for pair in stacked for spec in self._specs(pair, omega)])
         assert len({pair.autocov().dense.shape for pair in stacked}) > 5
         for s, a in zip(stacked, alone):

@@ -12,6 +12,9 @@ PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
   perfbench's runs 1 to 5;
 * one config per mode, with all four estimators in standard mode and two fit
   orders at horizon 3 in confounded mode;
+* lasso and elastic net at orders 3, 5 and 7 on the default coefficient box,
+  and lasso across training sizes 12 and 100 at order 5, whose short folds
+  are rank-deficient;
 * misspecified orders (``order_pairs``), where the fit and true orders differ;
 * orders 7 and 8 with ``max_tries = 3000``, where sampling skips processes;
 * order 10, whose state dimension takes the bilinear Lyapunov solver.
@@ -67,6 +70,17 @@ EXTRA = {
         {"mode": "standard", "orders": "7,8", "n_processes": 30, "max_tries": 3000,
          "mc_draws": 100, "bucket_size": 5},
         8,
+    ),
+    "standard_lasso_elastic_net": (
+        {"mode": "standard", "orders": "3,5,7", "n_processes": 20,
+         "estimators": "lasso,elasticNet", "mc_draws": 100, "bucket_size": 5},
+        11,
+    ),
+    # Size 12 leaves 7 design rows for 5 lags: the short folds are rank-deficient.
+    "sample_sweep_lasso": (
+        {"mode": "sampleSweep", "orders": 5, "n_processes": 20, "estimators": "lasso",
+         "sweep_train_sizes": "12,100", "mc_draws": 0, "bucket_size": 5},
+        12,
     ),
     "order_10": (
         {"mode": "standard", "orders": 10, "n_processes": 12, "coeff_lo": -0.3,
