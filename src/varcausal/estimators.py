@@ -360,11 +360,11 @@ def _fixed_fits(items) -> list[FitResult]:
         else:
             solves.setdefault(design.x.shape[1], []).append(i)
     for idx in solves.values():
-        designs = [items[i][0] for i in idx]
-        targets = [design.d for design in designs]
-        moments = [_moments(design.x, design.y) for design in designs]
-        eff_mix = [1.0 if items[i][1] == LASSO else items[i][3] for i in idx]
-        strength = np.repeat([items[i][2] for i in idx], targets)
+        fits = [items[i] for i in idx]
+        targets = [design.d for design, *_ in fits]
+        moments = [_moments(design.x, design.y) for design, *_ in fits]
+        eff_mix = [1.0 if estimator == LASSO else mix for _, estimator, _, mix in fits]
+        strength = np.repeat([lam for _, _, lam, _ in fits], targets)
         mix = np.repeat(eff_mix, targets)
         xty = np.concatenate([m[1] for m in moments])
         beta, ok, gap = _enet_solve(
@@ -376,8 +376,9 @@ def _fixed_fits(items) -> list[FitResult]:
             np.zeros_like(xty),
         )
         ends = np.cumsum(targets)[:-1]
-        for i, w, b, o, g in zip(idx, eff_mix, *(np.split(a, ends) for a in (beta, ok, gap))):
-            design, estimator, lam, _ = items[i]
+        for i, (design, estimator, lam, _), w, b, o, g in zip(
+            idx, fits, eff_mix, *(np.split(a, ends) for a in (beta, ok, gap))
+        ):
             worst_gap = max(0.0, float(g.max()))
             out[i] = _result_from_beta(
                 design, b.T, estimator, lam, w, None, False, bool(o.all()), worst_gap
@@ -410,8 +411,6 @@ def fit_cv(
     mixing grid applies to the elastic net only.  This is
     :func:`fit_cv_batch` with one member.
     """
-    if estimator not in ESTIMATORS:
-        raise BadInputError(f"unknown estimator {estimator!r}")
     design = build_design(path, p)
     return fit_cv_batch([(design, estimator, folds)], lam_grid, mix_grid, seed, shuffle)[0]
 
