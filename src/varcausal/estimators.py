@@ -13,16 +13,20 @@ Objectives (per target column, ``T`` usable rows):
     elasticNet: (1/2T) ||y - X b||^2 + lam (mix ||b||_1 + (1-mix)/2 ||b||^2)
 
 Ridge is closed form through a thin SVD of the design, which gives every
-strength at once.  Lasso and elastic net share one exact solver,
-``_enet_solve``: feature-sign search in covariance form (on ``X'X/T`` and
-``X'y/T``) over a batch of independent problems, each result certified by
-its duality gap; any batch gives a problem the same result.
-:func:`fit_cv_batch` cross-validates many designs at once: per number of
-design columns, one batch holds every (design, fold, mix, target) problem
-and walks the strength grid from strong to weak, warm-starting each
-strength from the last, and one cold batch holds every final refit (one
-problem per target).  :func:`fit_cv` is that batch with one design.
-``lam = 0`` reduces every estimator to OLS.
+strength at once; a stack of same-shape designs shares one stacked SVD
+call.  Lasso and elastic net share one exact solver, ``_enet_solve``:
+feature-sign search in covariance form (on ``X'X/T`` and ``X'y/T``) over a
+batch of independent problems, each result certified by its duality gap;
+any batch gives a problem the same result.  :func:`fit_cv_batch`
+cross-validates many designs of every estimator at once: the ridge designs
+of one shape and fold split share one stacked SVD per fold and one per
+final refit; per number of design columns, one lasso / elastic-net batch
+holds every (design, fold, mix, target) problem and walks the strength grid
+from strong to weak, warm-starting each strength from the last, and one
+cold batch holds every final refit (one problem per target); the designs of
+one shape and fold split are validated in stacked products.  Every stack
+holds at most ``_ROW_CAP`` design rows.  :func:`fit_cv` is that batch with
+one design.  ``lam = 0`` reduces every estimator to OLS.
 """
 
 from __future__ import annotations
@@ -142,18 +146,40 @@ def fit_ols(design: LaggedDesign) -> FitResult:
     return _result_from_beta(design, beta, OLS, 0.0, 0.0, None, deficient, True, 0.0)
 
 
-def _ridge_path(x: np.ndarray, y: np.ndarray, lams: list) -> np.ndarray:
-    """Ridge coefficients at each positive strength in ``lams``, shape (L, k, d).
+def _ridge_path(x: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
+    """Ridge coefficients of a stack of designs ``x`` (B, T, k) with targets
+    ``y`` (B, T, d) at positive strengths ``lams``, (L,) shared or (B, L);
+    shape (B, L, k, d).
 
-    One thin SVD ``x = U diag(s) V'`` serves every strength (Golub, Heath &
-    Wahba 1979): ``beta(lam) = V diag(s / (s^2 + T lam)) U'y``.
+    One thin SVD ``x = U diag(s) V'`` per design serves every strength
+    (Golub, Heath & Wahba 1979): ``beta(lam) = V diag(s / (s^2 + T lam)) U'y``.
+    The stacked SVD and products factor and multiply each design on its own,
+    so every design gets the bits of a stack of one.
     """
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    lams = np.asarray(lams, dtype=float)
-    shrink = s[:, None] / (s[:, None] ** 2 + x.shape[0] * lams)  # (r, L)
-    uty = u.T @ y  # (r, d)
-    coef = vt.T @ (shrink[:, :, None] * uty[:, None, :]).reshape(len(s), -1)
-    return coef.reshape(x.shape[1], len(lams), y.shape[1]).transpose(1, 0, 2)
+    lams = np.asarray(lams, dtype=float)[..., None, :]
+    shrink = s[..., None] / (s[..., None] ** 2 + x.shape[-2] * lams)  # (B, r, L)
+    uty = u.swapaxes(-1, -2) @ y  # (B, r, d)
+    n, r, k, d = len(x), s.shape[-1], x.shape[-1], y.shape[-1]
+    coef = vt.swapaxes(-1, -2) @ (shrink[..., None] * uty[:, :, None]).reshape(n, r, -1)
+    return coef.reshape(n, k, -1, d).transpose(0, 2, 1, 3)
+
+
+#: Most design rows one stacked ridge or validation call holds; a group of
+#: same-shape designs larger than this is split into several calls.  Peak RSS
+#: of a size sweep to 1000 rows rose 4-7% with all of a chunk's designs in
+#: one stack and 2.2% at this cap.
+_ROW_CAP = 4096
+
+
+def _stacked(designs: list, members: list):
+    """``members``, indices into ``designs`` of one shape, in runs of at most
+    ``_ROW_CAP`` rows but at least one design each; yields ``(run, x, y)``
+    with the run's designs stacked, x (B, T, k) and y (B, T, d)."""
+    per = max(1, _ROW_CAP // designs[members[0]].t_rows)
+    for start in range(0, len(members), per):
+        run = members[start : start + per]
+        yield run, np.stack([designs[n].x for n in run]), np.stack([designs[n].y for n in run])
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,11 +358,15 @@ def fit_regularized(
 def _fixed_fits(items) -> list[FitResult]:
     """:func:`fit_regularized` of each checked ``(design, estimator, lam, mix)``.
 
-    The lasso and elastic-net fits with the same number of design columns
-    share one cold ``_enet_solve`` call, one row per target; any batch gives
-    a row the same result, so each fit has the bits of its own call.
+    The ridge fits (and elastic-net fits of weight 0) with the same design
+    shape share stacked SVDs of at most ``_ROW_CAP`` rows (see
+    :func:`_ridge_path`); the lasso and elastic-net fits with the same number
+    of design columns share one cold ``_enet_solve`` call, one row per
+    target.  Any stack or batch gives a fit the same result, so each fit has
+    the bits of its own call.
     """
     out: list = [None] * len(items)
+    ridges: dict[tuple, list[int]] = {}
     solves: dict[int, list[int]] = {}
     for i, (design, estimator, lam, mix) in enumerate(items):
         if estimator == OLS or lam == 0.0:
@@ -355,10 +385,18 @@ def _fixed_fits(items) -> list[FitResult]:
                 )
             out[i] = res
         elif estimator == RIDGE or (estimator == ELASTIC_NET and mix == 0.0):
-            beta = _ridge_path(design.x, design.y, [lam])[0]
-            out[i] = _result_from_beta(design, beta, estimator, lam, 0.0, None, False, True, 0.0)
+            ridges.setdefault((design.x.shape, design.d), []).append(i)
         else:
             solves.setdefault(design.x.shape[1], []).append(i)
+    designs = [design for design, *_ in items]
+    for idx in ridges.values():
+        for run, x, y in _stacked(designs, idx):
+            betas = _ridge_path(x, y, [[items[i][2]] for i in run])
+            for i, beta in zip(run, betas):
+                design, estimator, lam, _ = items[i]
+                out[i] = _result_from_beta(
+                    design, beta[0], estimator, lam, 0.0, None, False, True, 0.0
+                )
     for idx in solves.values():
         fits = [items[i] for i in idx]
         targets = [design.d for design, *_ in fits]
@@ -424,15 +462,20 @@ def fit_cv_batch(
 ) -> list[FitResult]:
     """:func:`fit_cv` of each ``(design, estimator, folds)`` job, on one grid.
 
-    The lasso and elastic-net jobs with the same number of design columns
-    walk the strength grid together, one ``_enet_solve`` call per strength
-    (see :func:`_path_coefs`), and their final refits share one cold call
-    (see :func:`_fixed_fits`).  Any batch gives a row the same result, so
-    each job gets the bits of its own :func:`fit_cv` call.
+    The fold split is computed once per (rows, folds).  The ridge jobs with
+    one design shape and fold split share a stacked SVD per fold, and the
+    lasso and elastic-net jobs with the same number of design columns walk
+    the strength grid together, one ``_enet_solve`` call per strength (see
+    :func:`_path_coefs`).  The jobs with one design shape, fold split and
+    number of mixing weights are validated together, one stacked product
+    per fold, and the final refits share stacked SVDs and one cold
+    ``_enet_solve`` call (see :func:`_fixed_fits`).  Every stack holds at
+    most ``_ROW_CAP`` design rows.  Any stack or batch gives a job the same
+    result, so each job gets the bits of its own :func:`fit_cv` call.
     """
     jobs = list(jobs)
     lam_grid, mix_grid = list(lam_grid), list(mix_grid)
-    cv_jobs = []
+    cv_jobs, splits = [], {}
     out: list = [None] * len(jobs)
     for i, (design, estimator, folds) in enumerate(jobs):
         if estimator not in ESTIMATORS:
@@ -453,31 +496,43 @@ def fit_cv_batch(
             raise BadInputError("mix must lie in [0, 1]")
         if design.t_rows < folds:
             raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
-        parts = _fold_slices(design.t_rows, folds, shuffle, seed)
-        cv_jobs.append((i, design, parts, sorted(set(mixes))))
+        key = (design.t_rows, folds)
+        if key not in splits:
+            splits[key] = _fold_slices(design.t_rows, folds, shuffle, seed)
+        cv_jobs.append((i, design, splits[key], sorted(set(mixes))))
 
     # Strong to weak, so each lasso / elastic-net batch warm-starts the next.
     lams = sorted(set(lam_grid), reverse=True)
     coefs = _path_coefs([job[1:] for job in cv_jobs], lams)
-    picks = []
-    for (i, design, parts, mixes), path_coefs in zip(cv_jobs, coefs):
-        err = np.zeros((len(mixes), len(lams)))
-        for val_idx, coef in zip(parts, path_coefs):
-            pred = design.x[val_idx] @ coef
-            err += ((design.y[val_idx] - pred) ** 2).mean(axis=(-2, -1))
-        cv = err / len(parts)
+    designs = [design for _, design, _, _ in cv_jobs]
+    groups: dict[tuple, list[int]] = {}
+    for n, (_, design, parts, mixes) in enumerate(cv_jobs):
+        groups.setdefault((design.x.shape, design.d, id(parts), len(mixes)), []).append(n)
+    picks: list = [None] * len(cv_jobs)
+    for members in groups.values():
+        _, _, parts, mixes = cv_jobs[members[0]]
+        for run, x, y in _stacked(designs, members):
+            # Each fold's (B, M, L, k, d) coefficients are read as one
+            # contiguous block, matrix by matrix as a stack of one reads them.
+            coef = np.stack([coefs[n] for n in run])
+            err = np.zeros((len(run), len(mixes), len(lams)))
+            for f, val_idx in enumerate(parts):
+                x_val, y_val = (np.take(a, val_idx, axis=1)[:, None, None] for a in (x, y))
+                err += ((y_val - x_val @ coef[:, f]) ** 2).mean(axis=(-2, -1))
+            for n, cv in zip(run, (err / len(parts)).transpose(0, 2, 1).tolist()):
+                # Walk the grid sorted by (lam, mix); <= lets the larger
+                # strength win exact ties.
+                best = None
+                for l in reversed(range(len(lams))):
+                    for mix, score in zip(cv_jobs[n][3], cv[l]):
+                        if best is None or score <= best[0]:
+                            best = (score, lams[l], mix)
+                picks[n] = best
 
-        # Walk the grid sorted by (lam, mix); <= lets the larger strength
-        # win exact ties.
-        best = None
-        for l in reversed(range(len(lams))):
-            for m, mix in enumerate(mixes):
-                if best is None or cv[m, l] <= best[0]:
-                    best = (float(cv[m, l]), lams[l], mix)
-        picks.append((i, best))
-
-    finals = _fixed_fits([(jobs[i][0], jobs[i][1], lam, mix) for i, (_, lam, mix) in picks])
-    for (i, (score, lam, _)), final in zip(picks, finals):
+    finals = _fixed_fits(
+        [(design, jobs[i][1], lam, mix) for (i, design, _, _), (_, lam, mix) in zip(cv_jobs, picks)]
+    )
+    for (i, *_), (score, lam, _), final in zip(cv_jobs, picks, finals):
         out[i] = replace(final, lam=lam, cv_score=score)
     return out
 
@@ -488,35 +543,53 @@ def _path_coefs(jobs, lams: list) -> list[np.ndarray]:
     ascending ``mixes`` and strength in the descending ``lams`` all jobs
     share.
 
-    Weight 0 is ridge, every strength from one SVD per fold.  Strength 0 is
-    minimum-norm least squares.  Every other cell is one row of a single
-    ``_enet_solve`` batch per strength and number of design columns: all
-    (job, fold, weight, target) rows walk the strengths from strong to weak
-    together, each row's feature-sign search starting from its solution at
-    the previous strength.  Lasso is the weight-1 row, so lasso and elastic
-    net share the walk.
+    Weight 0 is ridge: the jobs with one design shape and one ``parts``
+    list share a stacked SVD per fold, of at most ``_ROW_CAP`` rows, which
+    serves every strength (see :func:`_ridge_path`).  Strength 0 is
+    minimum-norm least squares, one ``lstsq`` per job and fold.  Every other
+    cell is one row of a single ``_enet_solve`` batch per strength and number
+    of design columns: all (job, fold, weight, target) rows walk the
+    strengths from strong to weak together, each row's feature-sign search
+    starting from its solution at the previous strength.  Lasso is the
+    weight-1 row, so lasso and elastic net share the walk.
     """
     pos = [lam for lam in lams if lam > 0.0]
-    outs, walks = [], {}
-    for design, parts, mixes in jobs:
+    outs, walks, ridges = [], {}, {}
+    for j, (design, parts, mixes) in enumerate(jobs):
         k, d = design.x.shape[1], design.d
         out = np.empty((len(parts), len(mixes), len(lams), k, d))
         l1_mix = [mix for mix in mixes if mix > 0.0]
-        for f, val_idx in enumerate(parts):
-            mask = np.ones(design.t_rows, dtype=bool)
-            mask[val_idx] = False
-            x, y = design.x[mask], design.y[mask]
-            if len(pos) < len(lams):
+        if pos and len(l1_mix) < len(mixes):
+            ridges.setdefault((design.x.shape, d, id(parts)), []).append(j)
+        lstsq, walk = len(pos) < len(lams), bool(pos and l1_mix)
+        for f, val_idx in enumerate(parts if lstsq or walk else ()):
+            rows = _train_rows(design.t_rows, val_idx)
+            x, y = design.x[rows], design.y[rows]
+            if lstsq:
                 out[f, :, -1] = np.linalg.lstsq(x, y, rcond=None)[0]
-            if len(l1_mix) < len(mixes):
-                out[f, 0, : len(pos)] = _ridge_path(x, y, pos)
-            if pos and l1_mix:
+            if walk:
                 cells = out[f, len(mixes) - len(l1_mix) :, : len(pos)]
                 walks.setdefault(k, []).append((cells, _moments(x, y), l1_mix))
         outs.append(out)
+    designs = [design for design, _, _ in jobs]
+    for members in ridges.values():
+        parts = jobs[members[0]][1]
+        for run, x, y in _stacked(designs, members):
+            for f, val_idx in enumerate(parts):
+                rows = _train_rows(x.shape[1], val_idx)
+                path = _ridge_path(np.compress(rows, x, axis=1), np.compress(rows, y, axis=1), pos)
+                for j, coef in zip(run, path):
+                    outs[j][f, 0, : len(pos)] = coef
     for folds in walks.values():
         _walk(folds, pos)
     return outs
+
+
+def _train_rows(t_rows: int, val_idx: np.ndarray) -> np.ndarray:
+    """Mask of the ``t_rows`` design rows a fold trains on: all but ``val_idx``."""
+    mask = np.ones(t_rows, dtype=bool)
+    mask[val_idx] = False
+    return mask
 
 
 def _walk(folds: list, lams: list) -> None:

@@ -21,13 +21,13 @@ only in data:
 
 Processes run ``CHUNK_PROCESSES`` at a time.  A chunk's truths are sampled
 and set up together; each process then simulates its paths; then every
-path is fit, OLS and ridge one at a time and the lasso and elastic-net
-cross-validations of one training size in one batch
-(:func:`estimators.fit_cv_batch`); then the fits' spectra, the companion
-powers, the window eigenvalues and the analytic risks of every record of
-the chunk are computed in stacked calls (:func:`process.prepare_spectra`,
-:func:`risk.prepare_pairs`), and last each record reads them and adds its
-own draws: Monte Carlo, the empirical risk and the thm1 bound.
+path is fit, OLS one at a time and every cross-validated fit of one
+training size in one batch (:func:`estimators.fit_cv_batch`); then the
+fits' spectra, the companion powers, the window eigenvalues and the
+analytic risks of every record of the chunk are computed in stacked calls
+(:func:`process.prepare_spectra`, :func:`risk.prepare_pairs`), and last
+each record reads them and adds its own draws: Monte Carlo, the empirical
+risk and the thm1 bound.
 
 Everything is a pure function of the config (including the master seed).
 Every process draws from its own generators, derived by counter-based
@@ -58,10 +58,8 @@ from .errors import ConfigError, NumericalError
 from .estimators import (
     ESTIMATORS,
     OLS,
-    RIDGE,
     FitResult,
     build_design,
-    fit_cv,
     fit_cv_batch,
     fit_ols,
 )
@@ -311,9 +309,9 @@ def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int, batch: list) -> 
     """Each estimator's fit of ``train``, in ``cfg.estimators`` order; a fit
     that raises ``NumericalError`` ends the list with its error.
 
-    OLS and ridge are fit here.  A lasso or elastic-net fit is left as
-    ``None``, and ``(list, index, job)`` is appended to ``batch`` for
-    :func:`fit_cv_batch` to fill in.
+    OLS is fit here.  A cross-validated fit is left as ``None``, and
+    ``(list, index, job)`` is appended to ``batch`` for :func:`fit_cv_batch`
+    to fill in.
     """
     fits: list = []
     for estimator in cfg.estimators:
@@ -322,11 +320,8 @@ def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int, batch: list) -> 
                 fits.append(fit_ols(build_design(train, p_fit)))
                 continue
             folds = max(2, min(cfg.cv_folds, train.n - p_fit))
-            if estimator == RIDGE:
-                fits.append(fit_cv(train, p_fit, estimator, folds=folds))
-            else:
-                batch.append((fits, len(fits), (build_design(train, p_fit), estimator, folds)))
-                fits.append(None)
+            batch.append((fits, len(fits), (build_design(train, p_fit), estimator, folds)))
+            fits.append(None)
         except NumericalError as exc:
             fits.append(exc)
             break
@@ -453,7 +448,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     :func:`_cells`.  The processes run ``CHUNK_PROCESSES`` at a time, in
     phases: their truths are sampled and set up together (see
     :func:`_truths`); each process simulates its paths, then every unit is
-    fit, the lasso and elastic-net fits of one size in one batch (see
+    fit, every cross-validated fit of one size in one batch (see
     :func:`_chunk_units`); the fits' spectra, and the risks and window
     eigenvalues of every (fit, cell) of the chunk, are computed in stacked
     calls (:func:`prepare_spectra`, :func:`prepare_pairs`); and last each
@@ -516,8 +511,8 @@ def _chunk_units(
 
     The simulate phase draws each process's test path and, per size, its
     training path.  The fit phase runs :func:`_fits` on each unit, and then
-    the lasso and elastic-net cross-validations of every unit of one
-    training size in one :func:`fit_cv_batch` call.
+    the cross-validations of every unit of one training size in one
+    :func:`fit_cv_batch` call.
     """
     units = _simulated_units(cfg, chunk, sizes, per_size, skipped)
     batches: dict[int, list] = {}

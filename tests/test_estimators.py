@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -502,10 +504,31 @@ def fold_reach(design, folds):
     return out
 
 
+def assert_same_fit(got, want):
+    """``got`` is ``want`` bit for bit: choice, flags, score, gap, coefficients."""
+    assert got.estimator == want.estimator
+    assert (got.lam, got.mix, got.converged) == (want.lam, want.mix, want.converged)
+    assert got.rank_deficient == want.rank_deficient
+    for a, b in [
+        (got.cv_score, want.cv_score), (got.duality_gap, want.duality_gap),
+        (got.coef_matrix, want.coef_matrix),
+        (got.model.noise_variance, want.model.noise_variance),
+    ]:
+        assert bits(a) == bits(b)
+
+
+def count_svds(monkeypatch) -> list:
+    """Record the input shape of every ``np.linalg.svd`` call from now on."""
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    return shapes
+
+
 class TestFitCVBatch:
     @staticmethod
     def _jobs():
-        """(path, order, estimator, folds): lasso and elastic net on order 3;
+        """(path, order, estimator, folds): every estimator on order 3;
         d = 2 beside a scalar order-4 path (both 4 columns); a 6-step path at
         order 3, whose 3 folds each train on 2 rows for 3 lags (singular
         Gram matrices); and a nearly silent path, whose every |X'y/T| is
@@ -517,11 +540,30 @@ class TestFitCVBatch:
         noise = simulate(VarModel.from_coeffs([0.0]), 120, 4)
         quiet = SamplePath(values=1e-3 * noise.values, seed=4, burn_in=0)
         return [
-            (loud, 3, "lasso", 5), (loud, 3, "elasticNet", 5),
-            (d2, 2, "lasso", 5), (d2, 2, "elasticNet", 5), (order4, 4, "lasso", 4),
-            (short, 3, "lasso", 3), (short, 3, "elasticNet", 3),
+            (loud, 3, "lasso", 5), (loud, 3, "elasticNet", 5), (loud, 3, "ridge", 5),
+            (d2, 2, "lasso", 5), (d2, 2, "elasticNet", 5), (d2, 2, "ridge", 5),
+            (order4, 4, "lasso", 4), (order4, 4, "ridge", 4),
+            (short, 3, "lasso", 3), (short, 3, "elasticNet", 3), (short, 3, "ridge", 3),
             (quiet, 3, "lasso", 5),
         ]
+
+    @staticmethod
+    def _sized_jobs():
+        """(path, order, estimator, folds) over several training sizes: order
+        7 at 9 steps (2 folds of 1 row for 7 lags), 12 steps (5 rows in 3 and
+        5 folds), 40 and 150 steps; two seeds per size, so same-shape designs
+        stack; and a d = 2 order-2 process at 30 and 120 steps."""
+        order7 = VarModel.from_coeffs([0.3, -0.2, 0.1, 0.05, 0.0, -0.1, 0.1])
+        vec = oracle_paths()[2][1]
+        jobs = []
+        for n, folds in [(9, 2), (12, 3), (12, 5), (40, 4), (150, 5)]:
+            for seed in (n, n + 1):
+                path = simulate(order7, n, seed)
+                jobs += [(path, 7, est, folds) for est in ("ridge", "lasso", "elasticNet")]
+        for n, folds in [(30, 2), (120, 5)]:
+            path = SamplePath(values=vec.values[:n], seed=vec.seed, burn_in=0)
+            jobs += [(path, 2, est, folds) for est in ("ridge", "lasso", "elasticNet")]
+        return jobs
 
     def test_batch_equals_one_fit_cv_per_path(self, monkeypatch):
         jobs = self._jobs()
@@ -533,15 +575,88 @@ class TestFitCVBatch:
         # Two column counts: one walk of the grid and one cold refit each.
         assert len(calls) <= 2 * (len(DEFAULT_LAMBDA_GRID) + 1)
         for (_, _, est, _), got, want in zip(jobs, batch, alone):
-            assert got.estimator == want.estimator == est
-            assert (got.lam, got.mix, got.converged) == (want.lam, want.mix, want.converged)
-            assert got.rank_deficient == want.rank_deficient
-            for a, b in [
-                (got.cv_score, want.cv_score), (got.duality_gap, want.duality_gap),
-                (got.coef_matrix, want.coef_matrix),
-                (got.model.noise_variance, want.model.noise_variance),
-            ]:
-                assert bits(a) == bits(b)
+            assert got.estimator == est
+            assert_same_fit(got, want)
+
+    @pytest.mark.parametrize(
+        "lams, mixes",
+        [(DEFAULT_LAMBDA_GRID, (0.3, 0.7)), (ORACLE_LAMS, ORACLE_MIXES), ((0.5, 0.0, 0.5, 0.02), (0.0, 0.5))],
+    )
+    def test_mixed_sizes_and_grids_match_fit_cv(self, lams, mixes, monkeypatch):
+        # The grids hold least squares (0.0), repeated strengths and an
+        # elastic-net weight 0 (ridge cells of an elastic-net job).
+        jobs = self._sized_jobs()
+        alone = [
+            fit_cv(path, p, est, lam_grid=lams, mix_grid=mixes, folds=folds)
+            for path, p, est, folds in jobs
+        ]
+        designs = [(build_design(path, p), est, folds) for path, p, est, folds in jobs]
+        for got, want in zip(fit_cv_batch(designs, lams, mixes), alone):
+            assert_same_fit(got, want)
+        # A 10-row cap splits the stacks into runs of one to five designs;
+        # no bit moves.
+        monkeypatch.setattr(estimators, "_ROW_CAP", 10)
+        for got, want in zip(fit_cv_batch(designs, lams, mixes), alone):
+            assert_same_fit(got, want)
+
+    def test_one_svd_per_fold_and_stack(self, monkeypatch):
+        model = VarModel.from_coeffs([0.5, -0.2, 0.1])
+        # 7 designs of 97 rows in 5 folds and 3 of 27 rows in 2 folds.
+        groups = [(100, 5, 7), (30, 2, 3)]
+        jobs = [
+            (build_design(simulate(model, n, seed), 3), "ridge", folds)
+            for n, folds, count in groups
+            for seed in range(count)
+        ]
+        alone = [fit_cv_batch([job])[0] for job in jobs]
+        shapes = count_svds(monkeypatch)
+        for got, want in zip(fit_cv_batch(jobs), alone):
+            assert_same_fit(got, want)
+        # One stacked SVD per fold and one for the final refits, per group.
+        assert sorted(shapes) == sorted(
+            [(7, 97 - len(f), 3) for f in np.array_split(np.arange(97), 5)] + [(7, 97, 3)]
+            + [(3, 27 - len(f), 3) for f in np.array_split(np.arange(27), 2)] + [(3, 27, 3)]
+        )
+        # At two long designs' rows per stack the 7 designs take 4 stacks;
+        # the 3 short ones (7 to a stack) still take one.
+        monkeypatch.setattr(estimators, "_ROW_CAP", 2 * 97)
+        shapes.clear()
+        for got, want in zip(fit_cv_batch(jobs), alone):
+            assert_same_fit(got, want)
+        assert len(shapes) == 4 * (5 + 1) + (2 + 1)
+        assert sorted(s[0] for s in shapes if s[1] > 27) == [1] * 6 + [2] * 18
+        assert max(s[0] * s[1] for s in shapes) <= estimators._ROW_CAP
+
+    def test_working_set_bounded_by_row_cap(self, monkeypatch):
+        # 64 ridge designs of 1000 rows, 5 lags, 5 folds.  A stacked call holds
+        # a few arrays of at most _ROW_CAP rows (the stacked designs, a fold's
+        # training rows, the SVD's U, the validation predictions at every
+        # strength, one row in `folds` validating); the batch also keeps
+        # each job's (fold, strength) coefficients.
+        p, folds, jobs_n = 5, 5, 64
+        model = VarModel.from_coeffs([0.3, -0.1, 0.05, 0.0, 0.1])
+        jobs = [
+            (build_design(simulate(model, 1000 + p, seed), p), "ridge", folds)
+            for seed in range(jobs_n)
+        ]
+        strengths = len(DEFAULT_LAMBDA_GRID)
+        stack = 8 * estimators._ROW_CAP * (p + 1 + strengths // folds)
+        kept = jobs_n * 8 * folds * strengths * p
+        limit = 8 * stack + 2 * kept
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fit_cv_batch(jobs)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak() <= limit
+        # One stack of all 64 designs breaks the bound.
+        monkeypatch.setattr(estimators, "_ROW_CAP", 10**9)
+        assert peak() > limit
 
     def test_row_skipped_alone_stays_exactly_zero_in_a_batch(self):
         jobs = self._jobs()

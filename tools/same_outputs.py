@@ -15,6 +15,8 @@ PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
 * lasso and elastic net at orders 3, 5 and 7 on the default coefficient box,
   and lasso across training sizes 12 and 100 at order 5, whose short folds
   are rank-deficient;
+* ridge at orders 2 and 7 across training sizes 9 and 60 with 70 processes:
+  two chunks of different sizes, and 2-fold designs of 1 row for 7 lags;
 * misspecified orders (``order_pairs``), where the fit and true orders differ;
 * orders 7 and 8 with ``max_tries = 3000``, where sampling skips processes;
 * order 10, whose state dimension takes the bilinear Lyapunov solver.
@@ -81,6 +83,13 @@ EXTRA = {
         {"mode": "sampleSweep", "orders": 5, "n_processes": 20, "estimators": "lasso",
          "sweep_train_sizes": "12,100", "mc_draws": 0, "bucket_size": 5},
         12,
+    ),
+    # Two chunks (64 and 6 processes) per size; at size 9, order 7 leaves
+    # 2 design rows, so ridge cross-validates 2 folds of 1 row for 7 lags.
+    "sample_sweep_ridge_short": (
+        {"mode": "sampleSweep", "orders": "2,7", "n_processes": 70, "estimators": "ridge",
+         "sweep_train_sizes": "9,60", "mc_draws": 0, "bucket_size": 10},
+        13,
     ),
     "order_10": (
         {"mode": "standard", "orders": 10, "n_processes": 12, "coeff_lo": -0.3,
