@@ -166,9 +166,10 @@ def _ridge_path(x: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
 
 
 #: Most design rows one stacked ridge or validation call holds; a group of
-#: same-shape designs larger than this is split into several calls.  Peak RSS
-#: of a size sweep to 1000 rows rose 4-7% with all of a chunk's designs in
-#: one stack and 2.2% at this cap.
+#: same-shape designs larger than this is split into several calls.  On a
+#: ridge sweep to 1000 rows (perfbench's ridge_sweep) peak RSS rose 6-7%
+#: over per-design calls with each chunk's designs in one stack, and 1.6%
+#: at this cap.
 _ROW_CAP = 4096
 
 

@@ -517,14 +517,6 @@ def assert_same_fit(got, want):
         assert bits(a) == bits(b)
 
 
-def count_svds(monkeypatch) -> list:
-    """Record the input shape of every ``np.linalg.svd`` call from now on."""
-    shapes = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
-    return shapes
-
-
 class TestFitCVBatch:
     @staticmethod
     def _jobs():
@@ -609,7 +601,9 @@ class TestFitCVBatch:
             for seed in range(count)
         ]
         alone = [fit_cv_batch([job])[0] for job in jobs]
-        shapes = count_svds(monkeypatch)
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
         for got, want in zip(fit_cv_batch(jobs), alone):
             assert_same_fit(got, want)
         # One stacked SVD per fold and one for the final refits, per group.
