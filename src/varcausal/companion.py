@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._stacks import stacked
 from .errors import BadInputError, NumericalError
 
 #: Pairwise eigenvalue gaps below this are treated as a repeated spectrum.
@@ -128,24 +129,30 @@ def companions(items) -> list[CompanionMatrix]:
     blocks already validated; ``order`` ``None`` is the blocks' own order.
 
     Items of one shape and order are filled into one stacked array, whose
-    members become the companions' ``dense`` matrices.
+    members become the companions' read-only ``dense`` matrices.
     """
-    out: list = [None] * len(items)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, (blocks, order) in enumerate(items):
-        p = len(blocks)
-        groups.setdefault((blocks[0].shape[0], p, p if order is None else order), []).append(i)
-    for (d, p, order), idx in groups.items():
-        n = d * order
-        dense = np.zeros((len(idx), n, n))
-        blocks = np.zeros((len(idx), order, d, d))
-        blocks[:, :p] = [items[i][0] for i in idx]
-        dense[:, :d, :] = blocks.transpose(0, 2, 1, 3).reshape(len(idx), d, n)
-        if order > 1:
-            dense[:, d:, : d * (order - 1)] = np.eye(d * (order - 1))
-        for i, mat, padded in zip(idx, dense, blocks):
-            out[i] = CompanionMatrix(d=d, p=order, blocks=tuple(padded), dense=mat)
-    return out
+    return stacked(
+        [(blocks, len(blocks) if order is None else order) for blocks, order in items],
+        lambda item: (item[0][0].shape, len(item[0]), item[1]),
+        _companion_stack,
+    )
+
+
+def _companion_stack(items) -> list[CompanionMatrix]:
+    first, order = items[0]
+    d, p = first[0].shape[0], len(first)
+    n = d * order
+    dense = np.zeros((len(items), n, n))
+    blocks = np.zeros((len(items), order, d, d))
+    blocks[:, :p] = [item[0] for item in items]
+    dense[:, :d, :] = blocks.transpose(0, 2, 1, 3).reshape(len(items), d, n)
+    if order > 1:
+        dense[:, d:, : d * (order - 1)] = np.eye(d * (order - 1))
+    dense.setflags(write=False)  # shared by every reader of a model's lift
+    return [
+        CompanionMatrix(d=d, p=order, blocks=tuple(padded), dense=mat)
+        for mat, padded in zip(dense, blocks)
+    ]
 
 
 def matrix_power(comp: CompanionMatrix | np.ndarray, power: int) -> np.ndarray:
@@ -214,23 +221,14 @@ def spectra(
     each matrix the bits of its own call; the sort, the gap and the residual
     check run elementwise over the stack, each member as it would alone.
     """
-    out: list[Spectrum | NumericalError | None] = [None] * len(comps)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, comp in enumerate(comps):
-        by_shape.setdefault((comp.d, comp.p), []).append(i)
-    for idx in by_shape.values():
-        try:
-            eigs = np.linalg.eigvals(np.stack([comps[i].dense for i in idx]))
-        except np.linalg.LinAlgError as exc:
-            if len(idx) > 1:  # find the companion that failed: one call each
-                for i in idx:
-                    out[i] = spectra([comps[i]], distinct_tol)[0]
-                continue
-            out[idx[0]] = NumericalError(f"eigenvalue solver failed: {exc}")
-            continue
-        for i, spec in zip(idx, _checked_spectra([comps[i] for i in idx], eigs, distinct_tol)):
-            out[i] = spec
-    return out
+    return stacked(
+        comps,
+        lambda comp: (comp.d, comp.p),
+        lambda group: _checked_spectra(
+            group, np.linalg.eigvals(np.stack([comp.dense for comp in group])), distinct_tol
+        ),
+        failure="eigenvalue solver failed",
+    )
 
 
 def _checked_spectra(comps, eigs: np.ndarray, distinct_tol: float) -> list:
@@ -242,6 +240,7 @@ def _checked_spectra(comps, eigs: np.ndarray, distinct_tol: float) -> list:
     # change no modulus, gap or residual below.
     real = ~eigs.imag.any(axis=1) if np.iscomplexobj(eigs) else np.zeros(count, dtype=bool)
     eigs = np.take_along_axis(eigs, np.argsort(-np.abs(eigs), axis=1, kind="stable"), axis=1)
+    eigs.setflags(write=False)  # each spectrum's eigenvalues are a view
     if n > 1:
         diffs = np.abs(eigs[:, :, None] - eigs[:, None, :])
         gaps = diffs[:, ~np.eye(n, dtype=bool)].min(axis=1)

@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import BadInputError
 from .process import SamplePath, VarModel
-from .seeding import as_rng
 
 OLS = "ols"
 RIDGE = "ridge"
@@ -371,20 +370,8 @@ def _fixed_fits(items) -> list[FitResult]:
     solves: dict[int, list[int]] = {}
     for i, (design, estimator, lam, mix) in enumerate(items):
         if estimator == OLS or lam == 0.0:
-            res = fit_ols(design)
-            if estimator != OLS:
-                res = FitResult(
-                    model=res.model,
-                    estimator=estimator,
-                    lam=0.0,
-                    mix=mix if estimator == ELASTIC_NET else (1.0 if estimator == LASSO else 0.0),
-                    cv_score=None,
-                    rank_deficient=res.rank_deficient,
-                    converged=True,
-                    duality_gap=0.0,
-                    coef_matrix=res.coef_matrix,
-                )
-            out[i] = res
+            mix = mix if estimator == ELASTIC_NET else float(estimator == LASSO)
+            out[i] = replace(fit_ols(design), estimator=estimator, mix=mix)
         elif estimator == RIDGE or (estimator == ELASTIC_NET and mix == 0.0):
             ridges.setdefault((design.x.shape, design.d), []).append(i)
         else:
@@ -425,11 +412,9 @@ def _fixed_fits(items) -> list[FitResult]:
     return out
 
 
-def _fold_slices(t_rows: int, folds: int, shuffle: bool, seed) -> list[np.ndarray]:
-    idx = np.arange(t_rows)
-    if shuffle:
-        as_rng(seed).shuffle(idx)
-    return [f for f in np.array_split(idx, folds) if len(f)]
+def _fold_slices(t_rows: int, folds: int) -> list[np.ndarray]:
+    """Row indices of each of ``folds`` contiguous, near-equal validation folds."""
+    return [f for f in np.array_split(np.arange(t_rows), folds) if len(f)]
 
 
 def fit_cv(
@@ -439,27 +424,22 @@ def fit_cv(
     lam_grid=DEFAULT_LAMBDA_GRID,
     mix_grid=DEFAULT_MIX_GRID,
     folds: int = 5,
-    seed: int = 0,
-    shuffle: bool = False,
 ) -> FitResult:
     """Grid search with k-fold cross-validation, then refit on all rows.
 
-    Folds are contiguous row blocks by default, preserving temporal adjacency
-    within folds (set ``shuffle`` for randomized folds).  Mean validation MSE
-    is minimized over the grid; ties break toward the larger strength.  The
-    mixing grid applies to the elastic net only.  This is
-    :func:`fit_cv_batch` with one member.
+    Folds are contiguous row blocks, preserving temporal adjacency within
+    folds.  Mean validation MSE is minimized over the grid; ties break toward
+    the larger strength.  The mixing grid applies to the elastic net only.
+    This is :func:`fit_cv_batch` with one member.
     """
     design = build_design(path, p)
-    return fit_cv_batch([(design, estimator, folds)], lam_grid, mix_grid, seed, shuffle)[0]
+    return fit_cv_batch([(design, estimator, folds)], lam_grid, mix_grid)[0]
 
 
 def fit_cv_batch(
     jobs,
     lam_grid=DEFAULT_LAMBDA_GRID,
     mix_grid=DEFAULT_MIX_GRID,
-    seed: int = 0,
-    shuffle: bool = False,
 ) -> list[FitResult]:
     """:func:`fit_cv` of each ``(design, estimator, folds)`` job, on one grid.
 
@@ -499,7 +479,7 @@ def fit_cv_batch(
             raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
         key = (design.t_rows, folds)
         if key not in splits:
-            splits[key] = _fold_slices(design.t_rows, folds, shuffle, seed)
+            splits[key] = _fold_slices(design.t_rows, folds)
         cv_jobs.append((i, design, splits[key], sorted(set(mixes))))
 
     # Strong to weak, so each lasso / elastic-net batch warm-starts the next.

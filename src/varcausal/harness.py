@@ -65,6 +65,7 @@ from .estimators import (
 )
 from .interventions import InterventionSpec
 from .process import (
+    MIN_ESTIMATION_WINDOWS,
     SAMPLE_COUNTS,
     SamplePath,
     VarModel,
@@ -169,7 +170,7 @@ class ExperimentConfig:
             raise ConfigError("n_processes must be positive")
         if not self.orders:
             raise ConfigError("orders must be non-empty")
-        if any(p < 1 for p in self.orders):
+        if any(o < 1 for o in (*self.orders, *(o for pq in self.order_pairs for o in pq))):
             raise ConfigError("orders must be positive")
         if not (math.isfinite(self.coeff_lo) and math.isfinite(self.coeff_hi)):
             raise ConfigError("coeff_lo and coeff_hi must be finite")
@@ -194,6 +195,14 @@ class ExperimentConfig:
             raise ConfigError("sweep_omegas must be distinct")
         if self.mc_draws < 0:
             raise ConfigError("mc_draws must be non-negative")
+        if not (self.noise_variance > 0 and math.isfinite(self.noise_variance)):
+            raise ConfigError("noise_variance must be positive and finite")
+        if not (self.rho is None or 0.0 < self.rho < 1.0) or not 0.0 < self.confidence < 1.0:
+            raise ConfigError("rho and confidence must lie in (0, 1)")
+        if self.rademacher_draws < 1:
+            raise ConfigError("rademacher_draws must be positive")
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be at least 2")
         # thm1 scores the fit on its own training path, which therefore
         # needs a window of every fit order plus the horizon.
         horizon = max(self.sweep_omegas, default=0) if self.mode == "omegaSweep" else self.omega
@@ -204,8 +213,17 @@ class ExperimentConfig:
                 raise ConfigError("sweep_train_sizes must be distinct")
         else:
             sizes, name = (self.n_train,), "n_train"
-        if not sizes or min(sizes) <= least:
-            raise ConfigError(f"{name} must exceed the largest fit order plus horizon ({least})")
+        # The empirical risk scores the fit on the test path as well.
+        for name, length in ((name, min(sizes, default=0)), ("n_test", self.n_test)):
+            if length <= least:
+                raise ConfigError(
+                    f"{name} must exceed the largest fit order plus horizon ({least})"
+                )
+        # A confounded analyst estimates the fit's window from the test path.
+        if self.mode == "confounded" and self.n_test < max(self.orders) + MIN_ESTIMATION_WINDOWS:
+            raise ConfigError(
+                f"n_test must be at least the largest order plus {MIN_ESTIMATION_WINDOWS}"
+            )
 
     def to_mapping(self) -> dict:
         out = asdict(self)
@@ -319,7 +337,7 @@ def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int, batch: list) -> 
             if estimator == OLS:
                 fits.append(fit_ols(build_design(train, p_fit)))
                 continue
-            folds = max(2, min(cfg.cv_folds, train.n - p_fit))
+            folds = min(cfg.cv_folds, train.n - p_fit)
             batch.append((fits, len(fits), (build_design(train, p_fit), estimator, folds)))
             fits.append(None)
         except NumericalError as exc:

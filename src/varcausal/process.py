@@ -3,6 +3,10 @@
 The model is ``x_t = A_1 x_{t-1} + ... + A_p x_{t-p} + eps_t`` with isotropic
 Gaussian innovations of variance ``noise_variance``.  Processes are mean-zero
 throughout; there is no intercept.
+
+The ``prepare_*`` functions fill the caches of many models and windows with
+one stacked numpy call per shape (see ``_stacks``); a cached property read on
+a miss runs the same code on its one model.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg.blas import dtbsv
 
+from ._stacks import cached, fill, stacked
 from .companion import CompanionMatrix, Spectrum, companions, spectra
 from .errors import BadInputError, NumericalError
 from .seeding import as_rng
@@ -118,34 +123,31 @@ class VarModel:
     @cached_property
     def spectrum(self) -> Spectrum:
         """Companion eigenvalues; a failed residual check raises on every access."""
-        return _one(_spectra([self]))
+        return cached(vars(self), "spectrum", self, _spectra)
 
     @cached_property
     def state_cov(self) -> np.ndarray:
         """Stationary covariance of the stacked state ``(x_t, ..., x_{t-p+1})``."""
-        return _one(_state_covs([self]))
-
-    def _memo(self, key: tuple, build):
-        if key not in self._by_length:
-            self._by_length[key] = build()
-        return self._by_length[key]
+        return cached(vars(self), "state_cov", self, _state_covs)
 
     def lifted(self, order: int) -> CompanionMatrix:
         """Companion padded with zero blocks to ``order >= p``."""
         if order < self.p:
             raise BadInputError(f"target order {order} is below the model order {self.p}")
-        return self._memo(("lifted", order), lambda: _one(_lifts([(self, ("lifted", order))])))
+        return cached(self._by_length, ("lifted", order), (self, order), _lifts)
 
     def power(self, omega: int, order: int | None = None) -> np.ndarray:
         """``omega``-th power of the companion lifted to ``order`` (default ``p``)."""
-        key = ("power", self.p if order is None else order, omega)
-        return self._memo(key, lambda: _one(_powers([(self, key)])))
+        order = self.p if order is None else order
+        return cached(self._by_length, ("power", order, omega), (self, order, omega), _powers)
 
     def autocov(self, n: int) -> AutocovMatrix:
         """Exact stationary autocovariance of ``n`` stacked observations."""
         if n < 1:
             raise BadInputError("n must be positive")
-        return self._memo(("autocov", n), lambda: _window_autocov(self, n))
+        return cached(
+            self._by_length, ("autocov", n), n, lambda ns: [_window_autocov(self, k) for k in ns]
+        )
 
     def to_json(self) -> str:
         payload = {
@@ -256,12 +258,12 @@ class AutocovMatrix:
     @cached_property
     def root(self) -> np.ndarray:
         """Symmetric PSD square root of ``dense`` (read-only)."""
-        return _one(_psd_roots([self]))
+        return cached(vars(self), "root", self, _psd_roots)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of ``dense`` (read-only)."""
-        return _one(symmetric_eigenvalues([self.dense]))
+        return cached(vars(self), "eigenvalues", self.dense, symmetric_eigenvalues)
 
     @cached_property
     def correlation(self) -> "AutocovMatrix":
@@ -420,25 +422,16 @@ def prepare_models(models) -> None:
     that depend on it unset, so reading them raises as it always did.
     """
     prepare_spectra(models)
-    _fill([m for m in models if "spectrum" in vars(m)], "state_cov", _state_covs)
+    fill([(vars(m), "state_cov", m) for m in models if "spectrum" in vars(m)], _state_covs)
     windows = [m.autocov(m.p) for m in models if "state_cov" in vars(m)]
-    _fill(windows, "root", _psd_roots)
-
-
-def _fill(objs, name: str, compute) -> None:
-    """Cache ``compute``'s value of the property ``name`` on every object
-    without one; a ``NumericalError`` in place of a value leaves it unset."""
-    todo = [obj for obj in objs if name not in vars(obj)]
-    for obj, value in zip(todo, compute(todo) if todo else ()):
-        if not isinstance(value, NumericalError):
-            vars(obj)[name] = value  # where cached_property would keep it
+    fill([(vars(w), "root", w) for w in windows], _psd_roots)
 
 
 def prepare_spectra(models) -> None:
     """Fill each model's companion and spectrum: one stacked fill and one
     stacked ``eigvals`` per shape (see :func:`companion.spectra`)."""
     prepare_powers([(m, m.p, None) for m in models])
-    _fill(models, "spectrum", _spectra)
+    fill([(vars(m), "spectrum", m) for m in models], _spectra)
 
 
 def prepare_powers(items) -> None:
@@ -449,146 +442,99 @@ def prepare_powers(items) -> None:
     size and exponent one stacked ``np.linalg.matrix_power``, which gives each
     matrix the bits of its own call.
     """
-    _fill_memo([(m, ("lifted", order)) for m, order, _ in items], _lifts)
-    _fill_memo([(m, ("power", order, w)) for m, order, w in items if w is not None], _powers)
-
-
-def _fill_memo(items, compute) -> None:
-    """Cache ``compute``'s value under ``key`` for each ``(model, key)`` not yet
-    cached (each once)."""
-    todo = list({(id(m), key): (m, key) for m, key in items if key not in m._by_length}.values())
-    for (model, key), value in zip(todo, compute(todo) if todo else ()):
-        model._by_length[key] = value
+    fill([(m._by_length, ("lifted", order), (m, order)) for m, order, _ in items], _lifts)
+    powers = [(m, order, w) for m, order, w in items if w is not None]
+    fill([(m._by_length, ("power", order, w), (m, order, w)) for m, order, w in powers], _powers)
 
 
 def _lifts(items) -> list:
-    comps = companions([(model.coeffs, key[1]) for model, key in items])
-    for comp in comps:
-        comp.dense.setflags(write=False)
-    return comps
+    return companions([(model.coeffs, order) for model, order in items])
 
 
 def _powers(items) -> list:
-    out: list = [None] * len(items)
-    lifts = [model.lifted(order).dense for model, (_, order, _) in items]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (_, (_, _, omega)) in enumerate(items):
-        groups.setdefault((lifts[i].shape[0], omega), []).append(i)
-    for (_, omega), idx in groups.items():
-        stack = np.stack([lifts[i] for i in idx])
-        for i, power in zip(idx, np.linalg.matrix_power(stack, omega)):
-            power.setflags(write=False)
-            out[i] = power
-    return out
+    return stacked(items, lambda item: (item[0].d * item[1], item[2]), _power_stack)
+
+
+def _power_stack(items) -> list:
+    lifts = np.stack([model.lifted(order).dense for model, order, _ in items])
+    return list(np.linalg.matrix_power(lifts, items[0][2]))
 
 
 def prepare_windows(windows) -> None:
     """Fill the ``eigenvalues`` of each ``AutocovMatrix`` and of its
     ``correlation``: one stacked ``eigvalsh`` per size, which gives each
     matrix the bits of its own call."""
-    windows = list({id(w): w for w in windows}.values())
-    _fill(windows + [w.correlation for w in windows], "eigenvalues",
-          lambda todo: symmetric_eigenvalues([w.dense for w in todo]))
+    fill(
+        [(vars(w), "eigenvalues", w.dense) for w in [*windows, *(w.correlation for w in windows)]],
+        symmetric_eigenvalues,
+    )
 
 
 def symmetric_eigenvalues(denses) -> list:
-    """Ascending eigenvalues (read-only) of each symmetric matrix, or the
+    """Ascending eigenvalues of each symmetric matrix, or the
     ``NumericalError`` its solver raised; matrices of one size share one
     stacked ``eigvalsh``."""
-    out: list = [None] * len(denses)
-    by_size: dict[int, list[int]] = {}
-    for i, dense in enumerate(denses):
-        by_size.setdefault(dense.shape[0], []).append(i)
-    for idx in by_size.values():
-        try:
-            eigs = np.linalg.eigvalsh(np.stack([denses[i] for i in idx]))
-        except np.linalg.LinAlgError as exc:
-            if len(idx) > 1:  # one call each finds the matrix that failed
-                for i in idx:
-                    out[i] = symmetric_eigenvalues([denses[i]])[0]
-                continue
-            out[idx[0]] = NumericalError(f"eigenvalue solver failed on covariance: {exc}")
-            continue
-        for i, eig in zip(idx, eigs):
-            eig.setflags(write=False)
-            out[i] = eig
-    return out
-
-
-def _one(values):
-    """The one value of a one-element set-up, raising its error."""
-    (value,) = values
-    if isinstance(value, NumericalError):
-        raise value
-    return value
+    return stacked(
+        denses,
+        lambda dense: dense.shape[0],
+        lambda group: list(np.linalg.eigvalsh(np.stack(group))),
+        failure="eigenvalue solver failed on covariance",
+    )
 
 
 def _spectra(models) -> list:
-    out = spectra([m.companion for m in models])
-    for spec in out:
-        if isinstance(spec, Spectrum):
-            spec.eigenvalues.setflags(write=False)
-    return out
+    return spectra([m.companion for m in models])
 
 
 def _state_covs(models) -> list:
-    """Stationary state covariances, solving S = C S C' + S_e (read-only).
+    """Stationary state covariances, solving S = C S C' + S_e.
 
     Below ``_BILINEAR_SIZE`` the models of one state size share one batched
     ``scipy.linalg.solve`` of ``(I - C kron C) vec(S) = vec(S_e)``, the system
     ``solve_discrete_lyapunov`` solves for one model there; from that size on
     each model calls ``solve_discrete_lyapunov``, which uses its bilinear method.
+    scipy (1.17) divides by a 1 x 1 system but factors a stack of them, and a
+    factored solve may round differently, so scalar models are solved alone.
     A stack of systems needs scipy 1.15 or later.  That the batched solve gives
     each model the bits of its own ``solve_discrete_lyapunov`` call was checked
     on scipy 1.17; ``TestPrepareModels`` in ``tests/test_process.py`` guards it.
     """
-    out: list = [None] * len(models)
-    direct: dict[int, list[int]] = {}
-    for i, model in enumerate(models):
-        try:
-            delta = model.spectrum.max_modulus
-        except NumericalError as exc:
-            out[i] = exc
-            continue
-        if delta >= 1.0:
-            out[i] = NumericalError(
-                f"unstable model (max modulus {delta:.6f}) has no stationary law"
-            )
-        elif model.d * model.p < _BILINEAR_SIZE:
-            direct.setdefault(model.d * model.p, []).append(i)
-        else:
-            try:
-                state = linalg.solve_discrete_lyapunov(model.companion.dense, _noise_state(model))
-            except np.linalg.LinAlgError as exc:
-                out[i] = NumericalError(f"stationary covariance solve failed: {exc}")
-            else:
-                out[i] = _symmetrized(state)
-    for size, idx in direct.items():
-        for i, state in zip(idx, _kron_solve([models[i] for i in idx], size)):
-            out[i] = state
-    return out
-
-
-def _kron_solve(models, size: int) -> list:
-    if size == 1 and len(models) > 1:
-        # scipy (1.17) divides by a 1 x 1 system but factors a stack of them,
-        # and a factored solve may round differently: solve each alone.
-        return [state for m in models for state in _kron_solve([m], size)]
-    comps = np.stack([m.companion.dense for m in models])
-    # I - C kron C, built as np.kron builds it (one product per entry), in
-    # place: the systems of a chunk of order-7 models take 1.2 MB.
-    lhs = (comps[:, :, None, :, None] * comps[:, None, :, None, :]).reshape(
-        len(models), size * size, size * size
+    return stacked(
+        [_stationary(m) for m in models],
+        lambda model: model.d * model.p,
+        _kron_solve,
+        alone=lambda size: size == 1 or size >= _BILINEAR_SIZE,
+        failure="stationary covariance solve failed",
     )
-    np.subtract(np.eye(size * size), lhs, out=lhs)
-    rhs = np.stack([_noise_state(m).reshape(-1, 1) for m in models])
+
+
+def _stationary(model: VarModel):
+    """The model, or the ``NumericalError`` that leaves it no stationary law."""
     try:
+        delta = model.spectrum.max_modulus
+    except NumericalError as exc:
+        return exc
+    if delta >= 1.0:
+        return NumericalError(f"unstable model (max modulus {delta:.6f}) has no stationary law")
+    return model
+
+
+def _kron_solve(models) -> list:
+    size = models[0].d * models[0].p
+    if size >= _BILINEAR_SIZE:  # one model (see _state_covs)
+        (model,) = models
+        states = [linalg.solve_discrete_lyapunov(model.companion.dense, _noise_state(model))]
+    else:
+        comps = np.stack([m.companion.dense for m in models])
+        # I - C kron C, built as np.kron builds it (one product per entry), in
+        # place: the systems of a chunk of order-7 models take 1.2 MB.
+        lhs = (comps[:, :, None, :, None] * comps[:, None, :, None, :]).reshape(
+            len(models), size * size, size * size
+        )
+        np.subtract(np.eye(size * size), lhs, out=lhs)
+        rhs = np.stack([_noise_state(m).reshape(-1, 1) for m in models])
         states = linalg.solve(lhs, rhs).reshape(-1, size, size)
-    except np.linalg.LinAlgError as exc:
-        if len(models) > 1:  # one solve each finds the singular systems
-            return [state for m in models for state in _kron_solve([m], size)]
-        return [NumericalError(f"stationary covariance solve failed: {exc}")]
-    return [_symmetrized(state) for state in states]
+    return [0.5 * (state + state.T) for state in states]
 
 
 def _noise_state(model: VarModel) -> np.ndarray:
@@ -598,28 +544,18 @@ def _noise_state(model: VarModel) -> np.ndarray:
     return se
 
 
-def _symmetrized(state: np.ndarray) -> np.ndarray:
-    state = 0.5 * (state + state.T)
-    state.setflags(write=False)
-    return state
-
-
 def _psd_roots(windows) -> list:
     """Symmetric PSD square roots of each ``AutocovMatrix``'s ``dense``, with
-    tiny negative eigenvalues clipped to zero (read-only); matrices of one
-    size share one stacked ``eigh``."""
-    out: list = [None] * len(windows)
-    by_size: dict[int, list[int]] = {}
-    for i, window in enumerate(windows):
-        by_size.setdefault(window.dense.shape[0], []).append(i)
-    for idx in by_size.values():
-        w, v = np.linalg.eigh(np.stack([windows[i].dense for i in idx]))
-        w = np.clip(w, 0.0, None)
-        roots = v * np.sqrt(w)[:, None, :] @ np.swapaxes(v, 1, 2)
-        for i, root in zip(idx, roots):
-            root.setflags(write=False)
-            out[i] = root
-    return out
+    tiny negative eigenvalues clipped to zero; matrices of one size share one
+    stacked ``eigh``."""
+    return stacked(
+        windows, lambda window: window.dense.shape[0], _roots, failure="window square root failed"
+    )
+
+
+def _roots(windows) -> list:
+    w, v = np.linalg.eigh(np.stack([window.dense for window in windows]))
+    return list(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :] @ np.swapaxes(v, 1, 2))
 
 
 def autocov_blocks(model: VarModel, max_lag: int) -> np.ndarray:

@@ -17,7 +17,8 @@ independent oracles.
 Each pair memoizes ``D``, the floors, the intervened windows and the risks.
 :func:`prepare_pairs` fills them for many pairs at once, with one stacked
 ``matrix_power`` per companion size and horizon and one ``einsum`` per shape;
-reading a value that was not prepared runs the same code for that one pair.
+reading a value that was not prepared runs the same code for that one pair
+(the stacks and memos are ``_stacks``', as in :mod:`varcausal.process`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._stacks import cached, fill, stacked
 from .errors import BadInputError, NumericalError
 from .interventions import (
     ATOMIC_AVERAGED,
@@ -70,9 +72,7 @@ class ModelPair:
 
     def _memo(self, name: str, arg, compute) -> np.ndarray:
         """The value ``compute([(self, arg)])`` builds, once per pair."""
-        if (name, arg) not in self._cache:
-            _fill_pairs([(self, arg)], name, compute, strict=True)
-        return self._cache[(name, arg)]
+        return cached(self._cache, (name, arg), (self, arg), compute)
 
     @property
     def d(self) -> int:
@@ -120,26 +120,9 @@ def prepare_pairs(items) -> None:
     )
     prepare_windows([pair.autocov() for pair in pairs if _stable_truth(pair)])
     for name, compute in (("delta", _deltas), ("floor", _floors), ("stat", _stat_risks)):
-        _fill_pairs(horizons, name, compute)
-    _fill_pairs(items, "intervened", _intervened)
-    _fill_pairs(items, "causal", _causal_risks)
-
-
-def _fill_pairs(items, name: str, compute, strict: bool = False) -> None:
-    """Cache ``compute``'s value under ``(name, arg)`` for each ``(pair, arg)``
-    not yet cached, read-only.  A failed value stays unset, or is raised when
-    ``strict``."""
-    todo = list(
-        {(id(pair), arg): (pair, arg) for pair, arg in items if (name, arg) not in pair._cache}
-        .values()
-    )
-    for (pair, arg), value in zip(todo, compute(todo) if todo else ()):
-        if isinstance(value, Exception):
-            if strict:
-                raise value
-            continue
-        value.setflags(write=False)
-        pair._cache[(name, arg)] = value
+        fill([(pair._cache, (name, w), (pair, w)) for pair, w in horizons], compute)
+    for name, compute in (("intervened", _intervened), ("causal", _causal_risks)):
+        fill([(pair._cache, (name, spec), (pair, spec)) for pair, spec in items], compute)
 
 
 def _stable_truth(pair: ModelPair) -> bool:
@@ -191,27 +174,30 @@ def _causal_risks(items) -> list:
 def _risks(items, window) -> list:
     """``D_i' M D_i + floor_i`` per output component of each ``(pair, arg)``,
     where ``window(pair, arg)`` gives the horizon and ``M``; one ``einsum`` per
-    shape."""
-    out: list = [None] * len(items)
-    groups: dict[tuple[int, int], list] = {}
-    for k, (pair, arg) in enumerate(items):
-        try:
-            _require_stable_truth(pair)
-            omega, cov = window(pair, arg)
-            member = (k, pair.delta_rows(omega), cov, pair._memo("floor", omega, _floors))
-        except (BadInputError, NumericalError) as exc:
-            out[k] = exc
-            continue
-        groups.setdefault(member[1].shape, []).append(member)
-    for (d, size), members in groups.items():
-        # A stack of 2 x 2 windows sums each form in another order than one
-        # call does (numpy 2.4), so those are evaluated one at a time.
-        for part in [members] if size > 2 else [[m] for m in members]:
-            deltas = np.stack([m[1] for m in part])
-            forms = np.einsum("bij,bjk,bik->bi", deltas, np.stack([m[2] for m in part]), deltas)
-            for (k, _, _, floor), form in zip(part, forms):
-                out[k] = form + floor
-    return out
+    shape.  A stack of 2 x 2 windows sums each form in another order than one
+    call does (numpy 2.4), so those are evaluated one at a time."""
+    return stacked(
+        [_risk_terms(pair, arg, window) for pair, arg in items],
+        lambda terms: terms[0].shape,
+        _forms,
+        alone=lambda shape: shape[1] <= 2,
+    )
+
+
+def _risk_terms(pair: ModelPair, arg, window):
+    """``(D, M, floor)`` of one risk, or the error that leaves it undefined."""
+    try:
+        _require_stable_truth(pair)
+        omega, cov = window(pair, arg)
+        return pair.delta_rows(omega), cov, pair._memo("floor", omega, _floors)
+    except (BadInputError, NumericalError) as exc:
+        return exc
+
+
+def _forms(terms) -> list:
+    deltas = np.stack([delta for delta, _, _ in terms])
+    forms = np.einsum("bij,bjk,bik->bi", deltas, np.stack([cov for _, cov, _ in terms]), deltas)
+    return [form + floor for form, (_, _, floor) in zip(forms, terms)]
 
 
 def noise_floor(truth: VarModel, omega: int, component: int | None = None):
@@ -236,20 +222,23 @@ def noise_floor(truth: VarModel, omega: int, component: int | None = None):
 def _noise_floors(truths, omegas) -> list:
     """:func:`noise_floor` vectors; truths of one state size and horizon share
     one stacked product per power."""
-    out: list = [None] * len(truths)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, (truth, omega) in enumerate(zip(truths, omegas)):
-        groups.setdefault((truth.d, truth.d * truth.p, omega), []).append(i)
-    for (d, size, omega), idx in groups.items():
-        comps = np.stack([truths[i].companion.dense for i in idx])
-        acc = np.zeros((len(idx), d))
-        power = np.broadcast_to(np.eye(size), comps.shape)
-        for _ in range(omega):
-            acc += (power[:, :d, :d] ** 2).sum(axis=2)
-            power = power @ comps
-        for i, floors in zip(idx, acc):
-            out[i] = truths[i].noise_variance * floors
-    return out
+    return stacked(
+        list(zip(truths, omegas)),
+        lambda item: (item[0].d, item[0].d * item[0].p, item[1]),
+        _floor_stack,
+    )
+
+
+def _floor_stack(items) -> list:
+    truth, omega = items[0]
+    d = truth.d
+    comps = np.stack([truth.companion.dense for truth, _ in items])
+    acc = np.zeros((len(items), d))
+    power = np.broadcast_to(np.eye(comps.shape[1]), comps.shape)
+    for _ in range(omega):
+        acc += (power[:, :d, :d] ** 2).sum(axis=2)
+        power = power @ comps
+    return [truth.noise_variance * floors for (truth, _), floors in zip(items, acc)]
 
 
 def stat_risk(pair: ModelPair, omega: int) -> np.ndarray:

@@ -272,6 +272,16 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("error: config: sweep_train_sizes")
         assert not (tmp_path / "x").exists()
 
+    def test_bad_study_setting_is_config_error(self, tmp_path, capsys):
+        # A non-positive order pair used to fail after sampling with exit 2.
+        rc = main(
+            ["experiment", "--set", "n_processes=2", "--set", "orders=2",
+             "--set", "order_pairs=0:2", "--set", "mc_draws=0", "--out", str(tmp_path / "x")]
+        )
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: config: orders must be positive")
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, "n_processes 10\n")
         rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -497,7 +497,7 @@ def bits(value) -> bytes:
 def fold_reach(design, folds):
     """The largest |X'y/T| over the training folds of ``design``."""
     out = 0.0
-    for val_idx in estimators._fold_slices(design.t_rows, folds, False, 0):
+    for val_idx in estimators._fold_slices(design.t_rows, folds):
         mask = np.ones(design.t_rows, dtype=bool)
         mask[val_idx] = False
         out = max(out, float(np.abs(estimators._moments(design.x[mask], design.y[mask])[1]).max()))
@@ -656,7 +656,7 @@ class TestFitCVBatch:
         jobs = self._jobs()
         loud, quiet = (build_design(path, p) for path, p, _, _ in (jobs[0], jobs[-1]))
         lams = sorted(DEFAULT_LAMBDA_GRID, reverse=True)
-        walks = [(d, estimators._fold_slices(d.t_rows, 5, False, 0), [1.0]) for d in (loud, quiet)]
+        walks = [(d, estimators._fold_slices(d.t_rows, 5), [1.0]) for d in (loud, quiet)]
         alone = estimators._path_coefs(walks[1:], lams)[0]
         together = estimators._path_coefs(walks, lams)[1]
         assert bits(together) == bits(alone)

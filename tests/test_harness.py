@@ -117,6 +117,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"order_pairs": ((0, 2),)},
+            {"order_pairs": ((2, -1),)},
+            {"rho": 0.0},
+            {"rho": 1.0},
+            {"confidence": 0.0},
+            {"confidence": 1.5},
+            {"rademacher_draws": 0},
+            {"noise_variance": 0.0},
+            {"noise_variance": -1.0},
+            {"noise_variance": math.inf},
+            {"noise_variance": math.nan},
+            {"cv_folds": 1},
+            {"orders": (3,), "n_test": 4},
+            {"mode": "omegaSweep", "orders": (3,), "sweep_omegas": (1, 7), "n_test": 10},
+            {"orders": (1,), "order_pairs": ((6, 1),), "n_test": 7},
+            {"mode": "confounded", "orders": (2,), "n_test": 11, "mc_draws": 10},
+        ],
+    )
+    def test_study_settings_checked(self, bad):
+        # Each used to fail with a BadInputError after processes were
+        # sampled, or (cv_folds) was silently raised to 2.
+        with pytest.raises(ConfigError):
+            tiny_cfg(**bad)
+
+    def test_shortest_test_paths_run(self):
+        # One step past each limit, every process is scored.
+        for kw in ({"orders": (3,), "n_test": 5}, {"mode": "confounded", "n_test": 12}):
+            res = run(tiny_cfg(n_processes=2, bucket_size=1, mc_draws=10, **kw))
+            assert res.metadata["skipped"] == 0 and res.records
+
     def test_repeated_sweep_omegas_rejected(self):
         # They used to write each (process, regime) record twice, and every
         # bucket held each value twice.
