@@ -12,21 +12,14 @@ Objectives (per target column, ``T`` usable rows):
     lasso:      (1/2T) ||y - X b||^2 + lam ||b||_1
     elasticNet: (1/2T) ||y - X b||^2 + lam (mix ||b||_1 + (1-mix)/2 ||b||^2)
 
-Ridge is closed form through a thin SVD of the design, which gives every
-strength at once; a stack of same-shape designs shares one stacked SVD
-call.  Lasso and elastic net share one exact solver, ``_enet_solve``:
-feature-sign search in covariance form (on ``X'X/T`` and ``X'y/T``) over a
-batch of independent problems, each result certified by its duality gap;
-any batch gives a problem the same result.  :func:`fit_cv_batch`
-cross-validates many designs of every estimator at once: the ridge designs
-of one shape and fold split share one stacked SVD per fold and one per
-final refit; per number of design columns, one lasso / elastic-net batch
-holds every (design, fold, mix, target) problem and walks the strength grid
-from strong to weak, warm-starting each strength from the last, and one
-cold batch holds every final refit (one problem per target); the designs of
-one shape and fold split are validated in stacked products.  Every stack
-holds at most ``_ROW_CAP`` design rows.  :func:`fit_cv` is that batch with
-one design.  ``lam = 0`` reduces every estimator to OLS.
+OLS and ridge are one closed form through a thin SVD of the design, which
+gives every strength at once (strength 0 is minimum-norm least squares);
+same-shape designs share one stacked SVD call.  Lasso and elastic net share
+one exact solver, ``_enet_solve``: feature-sign search in covariance form
+over a batch of independent problems, each result certified by its duality
+gap.  :func:`fit_cv_batch` fits many designs of every estimator at once, in
+stacks of at most ``_ROW_CAP`` design rows; :func:`fit_cv` is that batch
+with one design.  ``lam = 0`` reduces every estimator to OLS.
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._stacks import stacked
 from .errors import BadInputError
 from .process import SamplePath, VarModel
 
@@ -55,6 +49,8 @@ MAX_STEPS = 1000
 #: Floor applied to residual variance so fitted models remain valid even on
 #: noiseless data.
 NOISE_VARIANCE_FLOOR = 1e-30
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,9 @@ class FitResult:
     estimator: str
     lam: float
     mix: float
-    cv_score: float | None
-    rank_deficient: bool
-    converged: bool
+    cv_score: float | None = None
+    rank_deficient: bool = False
+    converged: bool = True
     duality_gap: float = 0.0
     coef_matrix: np.ndarray = field(default=None, repr=False)
 
@@ -109,66 +105,59 @@ def build_design(path: SamplePath, p: int) -> LaggedDesign:
     return LaggedDesign(x=np.concatenate(cols, axis=1), y=x[p:].copy(), p=p, d=d)
 
 
-def _result_from_beta(
-    design: LaggedDesign,
-    beta: np.ndarray,
-    estimator: str,
-    lam: float,
-    mix: float,
-    cv_score: float | None,
-    rank_deficient: bool,
-    converged: bool,
-    gap: float,
-) -> FitResult:
+def _result_from_beta(design: LaggedDesign, beta, estimator, lam, mix, **flags) -> FitResult:
+    """The fit of coefficients ``beta`` (k, d) to ``design``; ``flags`` are
+    :class:`FitResult`'s ``rank_deficient``, ``converged`` and ``duality_gap``."""
     p, d = design.p, design.d
     coeffs = tuple(beta[l * d : (l + 1) * d, :].T.copy() for l in range(p))
     resid = design.y - design.x @ beta
     noise = max(float((resid**2).mean()), NOISE_VARIANCE_FLOOR)
     model = VarModel(d=d, p=p, coeffs=coeffs, noise_variance=noise)
-    return FitResult(
-        model=model,
-        estimator=estimator,
-        lam=float(lam),
-        mix=float(mix),
-        cv_score=cv_score,
-        rank_deficient=rank_deficient,
-        converged=converged,
-        duality_gap=gap,
-        coef_matrix=beta,
-    )
+    return FitResult(model, estimator, float(lam), float(mix), coef_matrix=beta, **flags)
 
 
 def fit_ols(design: LaggedDesign) -> FitResult:
-    """Least squares via orthogonal decomposition; minimum-norm if rank-deficient."""
-    beta, _, rank, _ = np.linalg.lstsq(design.x, design.y, rcond=None)
-    deficient = bool(rank < design.x.shape[1])
-    return _result_from_beta(design, beta, OLS, 0.0, 0.0, None, deficient, True, 0.0)
+    """Least squares: minimum-norm, and flagged, if the design is rank-deficient."""
+    return fit_regularized(design, OLS, 0.0)
 
 
-def _ridge_path(x: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
-    """Ridge coefficients of a stack of designs ``x`` (B, T, k) with targets
-    ``y`` (B, T, d) at positive strengths ``lams``, (L,) shared or (B, L);
-    shape (B, L, k, d).
+def _raised(value):
+    """``value``, or raised if it is an exception."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _ridge_path(x: np.ndarray, y: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge coefficients (B, L, k, d) of a stack of designs ``x`` (B, T, k)
+    with targets ``y`` (B, T, d) at strengths ``lams`` >= 0, (L,) shared or
+    (B, L); and each design's numerical rank, (B,).
 
     One thin SVD ``x = U diag(s) V'`` per design serves every strength
     (Golub, Heath & Wahba 1979): ``beta(lam) = V diag(s / (s^2 + T lam)) U'y``.
-    The stacked SVD and products factor and multiply each design on its own,
-    so every design gets the bits of a stack of one.
+    At strength 0 (minimum-norm least squares) ``1 / s`` takes its place, and
+    ``s <= eps max(T, k) s_max`` counts as zero, numpy's least-squares rank
+    cut-off.  The stacked SVD and products factor and multiply each design
+    on its own, so every design gets the bits of a stack of one.
     """
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     lams = np.asarray(lams, dtype=float)[..., None, :]
-    shrink = s[..., None] / (s[..., None] ** 2 + x.shape[-2] * lams)  # (B, r, L)
+    t_rows, k = x.shape[-2:]
+    kept = s > _EPS * max(t_rows, k) * s[..., :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ridge = s[..., None] / (s[..., None] ** 2 + t_rows * lams)
+    shrink = np.where(lams == 0.0, inverse, ridge)  # (B, r, L)
     uty = u.swapaxes(-1, -2) @ y  # (B, r, d)
-    n, r, k, d = len(x), s.shape[-1], x.shape[-1], y.shape[-1]
+    n, r, d = len(x), s.shape[-1], y.shape[-1]
     coef = vt.swapaxes(-1, -2) @ (shrink[..., None] * uty[:, :, None]).reshape(n, r, -1)
-    return coef.reshape(n, k, -1, d).transpose(0, 2, 1, 3)
+    return coef.reshape(n, k, -1, d).transpose(0, 2, 1, 3), kept.sum(axis=-1)
 
 
-#: Most design rows one stacked ridge or validation call holds; a group of
-#: same-shape designs larger than this is split into several calls.  On a
-#: ridge sweep to 1000 rows (perfbench's ridge_sweep) peak RSS rose 6-7%
-#: over per-design calls with each chunk's designs in one stack, and 1.6%
-#: at this cap.
+#: Most design rows one stacked SVD or validation call holds; larger groups of
+#: same-shape designs are split.  On perfbench's ridge_sweep (to 1000 rows)
+#: peak RSS rose 6-7% over per-design calls with a chunk's designs in one
+#: stack, and 1.6% at this cap.
 _ROW_CAP = 4096
 
 
@@ -352,64 +341,69 @@ def fit_regularized(
         raise BadInputError("lam must be non-negative")
     if not 0.0 <= mix <= 1.0:
         raise BadInputError("mix must lie in [0, 1]")
-    return _fixed_fits([(design, estimator, lam, mix)])[0]
+    lam = 0.0 if estimator == OLS else lam  # least squares at any strength
+    return _raised(_fixed_fits([(design, estimator, lam, mix)])[0])
 
 
-def _fixed_fits(items) -> list[FitResult]:
-    """:func:`fit_regularized` of each checked ``(design, estimator, lam, mix)``.
-
-    The ridge fits (and elastic-net fits of weight 0) with the same design
-    shape share stacked SVDs of at most ``_ROW_CAP`` rows (see
-    :func:`_ridge_path`); the lasso and elastic-net fits with the same number
-    of design columns share one cold ``_enet_solve`` call, one row per
-    target.  Any stack or batch gives a fit the same result, so each fit has
-    the bits of its own call.
+def _fixed_fits(items) -> list:
+    """:func:`fit_regularized` of each checked ``(design, estimator, lam, mix)``,
+    batched by :func:`_closed_fits` and :func:`_enet_fits`; any batch gives a
+    fit the bits of its own call.  An item that is an exception is its own
+    value, and a ``LinAlgError`` becomes its fit's ``NumericalError`` (see
+    ``_stacks.stacked``).
     """
-    out: list = [None] * len(items)
-    ridges: dict[tuple, list[int]] = {}
-    solves: dict[int, list[int]] = {}
-    for i, (design, estimator, lam, mix) in enumerate(items):
-        if estimator == OLS or lam == 0.0:
-            mix = mix if estimator == ELASTIC_NET else float(estimator == LASSO)
-            out[i] = replace(fit_ols(design), estimator=estimator, mix=mix)
-        elif estimator == RIDGE or (estimator == ELASTIC_NET and mix == 0.0):
-            ridges.setdefault((design.x.shape, design.d), []).append(i)
-        else:
-            solves.setdefault(design.x.shape[1], []).append(i)
-    designs = [design for design, *_ in items]
-    for idx in ridges.values():
-        for run, x, y in _stacked(designs, idx):
-            betas = _ridge_path(x, y, [[items[i][2]] for i in run])
-            for i, beta in zip(run, betas):
-                design, estimator, lam, _ = items[i]
-                out[i] = _result_from_beta(
-                    design, beta[0], estimator, lam, 0.0, None, False, True, 0.0
-                )
-    for idx in solves.values():
-        fits = [items[i] for i in idx]
-        targets = [design.d for design, *_ in fits]
-        moments = [_moments(design.x, design.y) for design, *_ in fits]
-        eff_mix = [1.0 if estimator == LASSO else mix for _, estimator, _, mix in fits]
-        strength = np.repeat([lam for _, _, lam, _ in fits], targets)
-        mix = np.repeat(eff_mix, targets)
-        xty = np.concatenate([m[1] for m in moments])
-        beta, ok, gap = _enet_solve(
-            np.repeat(np.stack([m[0] for m in moments]), targets, axis=0),
-            xty,
-            np.concatenate([m[2] for m in moments]),
-            strength * mix,
-            strength * (1.0 - mix),
-            np.zeros_like(xty),
-        )
-        ends = np.cumsum(targets)[:-1]
-        for i, (design, estimator, lam, _), w, b, o, g in zip(
-            idx, fits, eff_mix, *(np.split(a, ends) for a in (beta, ok, gap))
-        ):
-            worst_gap = max(0.0, float(g.max()))
-            out[i] = _result_from_beta(
-                design, b.T, estimator, lam, w, None, False, bool(o.all()), worst_gap
-            )
+    items = [
+        item if isinstance(item, Exception)
+        else (*item[:3], item[3] if item[1] == ELASTIC_NET else float(item[1] == LASSO))
+        for item in items
+    ]
+    return stacked(
+        items,
+        # Closed form where the strength or the l1 weight is 0.
+        lambda item: item[0].x.shape[1] if min(item[2:]) else (item[0].x.shape, item[0].d),
+        lambda group: (_enet_fits if min(group[0][2:]) else _closed_fits)(group),
+        failure="fit failed",
+    )
+
+
+def _closed_fits(items) -> list[FitResult]:
+    """The closed-form fits of ``(design, estimator, lam, l1 weight)`` items of
+    one design shape, from stacked SVDs (see :func:`_ridge_path`); only
+    least squares can be rank-deficient."""
+    out = []
+    for run, x, y in _stacked([design for design, *_ in items], range(len(items))):
+        betas, ranks = _ridge_path(x, y, [[items[i][2]] for i in run])
+        for i, beta, rank in zip(run, betas, ranks):
+            design, est, lam, mix = items[i]
+            deficient = bool(lam == 0.0 and rank < design.x.shape[1])
+            out.append(_result_from_beta(design, beta[0], est, lam, mix, rank_deficient=deficient))
     return out
+
+
+def _enet_fits(items) -> list[FitResult]:
+    """The lasso and elastic-net fits of ``(design, estimator, lam, l1
+    weight)`` items with one number of design columns: one cold
+    ``_enet_solve`` call, one row per target."""
+    targets = [design.d for design, *_ in items]
+    moments = [_moments(design.x, design.y) for design, *_ in items]
+    strength = np.repeat([lam for _, _, lam, _ in items], targets)
+    mix = np.repeat([mix for *_, mix in items], targets)
+    xty = np.concatenate([m[1] for m in moments])
+    beta, ok, gap = _enet_solve(
+        np.repeat(np.stack([m[0] for m in moments]), targets, axis=0),
+        xty,
+        np.concatenate([m[2] for m in moments]),
+        strength * mix,
+        strength * (1.0 - mix),
+        np.zeros_like(xty),
+    )
+    ends = np.cumsum(targets)[:-1]
+    return [
+        _result_from_beta(
+            d, b.T, est, lam, w, converged=bool(o.all()), duality_gap=max(0.0, float(g.max()))
+        )
+        for (d, est, lam, w), b, o, g in zip(items, *(np.split(a, ends) for a in (beta, ok, gap)))
+    ]
 
 
 def _fold_slices(t_rows: int, folds: int) -> list[np.ndarray]:
@@ -433,50 +427,37 @@ def fit_cv(
     This is :func:`fit_cv_batch` with one member.
     """
     design = build_design(path, p)
-    return fit_cv_batch([(design, estimator, folds)], lam_grid, mix_grid)[0]
+    return _raised(fit_cv_batch([(design, estimator, folds)], lam_grid, mix_grid)[0])
 
 
-def fit_cv_batch(
-    jobs,
-    lam_grid=DEFAULT_LAMBDA_GRID,
-    mix_grid=DEFAULT_MIX_GRID,
-) -> list[FitResult]:
-    """:func:`fit_cv` of each ``(design, estimator, folds)`` job, on one grid.
+def fit_cv_batch(jobs, lam_grid=DEFAULT_LAMBDA_GRID, mix_grid=DEFAULT_MIX_GRID) -> list:
+    """:func:`fit_cv` of each ``(design, estimator, folds)`` job, on one grid;
+    an OLS job searches nothing and is its least-squares fit, with no score.
 
-    The fold split is computed once per (rows, folds).  The ridge jobs with
-    one design shape and fold split share a stacked SVD per fold, and the
-    lasso and elastic-net jobs with the same number of design columns walk
-    the strength grid together, one ``_enet_solve`` call per strength (see
-    :func:`_path_coefs`).  The jobs with one design shape, fold split and
-    number of mixing weights are validated together, one stacked product
-    per fold, and the final refits share stacked SVDs and one cold
-    ``_enet_solve`` call (see :func:`_fixed_fits`).  Every stack holds at
-    most ``_ROW_CAP`` design rows.  Any stack or batch gives a job the same
-    result, so each job gets the bits of its own :func:`fit_cv` call.
+    The jobs share the fold fits (see :func:`_path_coefs`); those with one
+    design shape, fold split and number of mixing weights are validated in
+    one stacked product per fold; and the final fits are batched (see
+    :func:`_fixed_fits`).  Any stack or batch gives a job the bits of its own
+    :func:`fit_cv` call.  A job whose solver raises ``LinAlgError`` gets a
+    ``NumericalError`` in place of its fit.
     """
     jobs = list(jobs)
     lam_grid, mix_grid = list(lam_grid), list(mix_grid)
+    if not lam_grid or any(lam < 0 for lam in lam_grid):
+        raise BadInputError("the regularization grid must be non-empty and non-negative")
     cv_jobs, splits = [], {}
-    out: list = [None] * len(jobs)
+    # (score, lam, mix) of each job's choice, or the error that left it none.
+    picks: list = [(None, 0.0, 0.0)] * len(jobs)
     for i, (design, estimator, folds) in enumerate(jobs):
         if estimator not in ESTIMATORS:
             raise BadInputError(f"unknown estimator {estimator!r}")
         if estimator == OLS:
-            out[i] = fit_ols(design)
             continue
-        if folds < 2:
-            raise BadInputError("folds must be at least 2")
-        if not lam_grid:
-            raise BadInputError("empty regularization grid")
         mixes = mix_grid if estimator == ELASTIC_NET else [float(estimator == LASSO)]
-        if not mixes:
-            raise BadInputError("empty mixing grid")
-        if any(lam < 0 for lam in lam_grid):
-            raise BadInputError("lam must be non-negative")
-        if not all(0.0 <= mix <= 1.0 for mix in mixes):
-            raise BadInputError("mix must lie in [0, 1]")
-        if design.t_rows < folds:
-            raise BadInputError(f"{design.t_rows} design rows cannot form {folds} folds")
+        if not mixes or not all(0.0 <= mix <= 1.0 for mix in mixes):
+            raise BadInputError("the mixing grid must be non-empty, in [0, 1]")
+        if not 2 <= folds <= design.t_rows:
+            raise BadInputError(f"{folds} folds: need 2 to {design.t_rows}, the design rows")
         key = (design.t_rows, folds)
         if key not in splits:
             splits[key] = _fold_slices(design.t_rows, folds)
@@ -487,9 +468,11 @@ def fit_cv_batch(
     coefs = _path_coefs([job[1:] for job in cv_jobs], lams)
     designs = [design for _, design, _, _ in cv_jobs]
     groups: dict[tuple, list[int]] = {}
-    for n, (_, design, parts, mixes) in enumerate(cv_jobs):
-        groups.setdefault((design.x.shape, design.d, id(parts), len(mixes)), []).append(n)
-    picks: list = [None] * len(cv_jobs)
+    for n, (i, design, parts, mixes) in enumerate(cv_jobs):
+        if isinstance(coefs[n], Exception):
+            picks[i] = coefs[n]
+        else:
+            groups.setdefault((design.x.shape, design.d, id(parts), len(mixes)), []).append(n)
     for members in groups.values():
         _, _, parts, mixes = cv_jobs[members[0]]
         for run, x, y in _stacked(designs, members):
@@ -508,61 +491,77 @@ def fit_cv_batch(
                     for mix, score in zip(cv_jobs[n][3], cv[l]):
                         if best is None or score <= best[0]:
                             best = (score, lams[l], mix)
-                picks[n] = best
+                picks[cv_jobs[n][0]] = best
 
-    finals = _fixed_fits(
-        [(design, jobs[i][1], lam, mix) for (i, design, _, _), (_, lam, mix) in zip(cv_jobs, picks)]
-    )
-    for (i, *_), (score, lam, _), final in zip(cv_jobs, picks, finals):
-        out[i] = replace(final, lam=lam, cv_score=score)
-    return out
+    finals = _fixed_fits([
+        pick if isinstance(pick, Exception) else (design, estimator, pick[1], pick[2])
+        for (design, estimator, _), pick in zip(jobs, picks)
+    ])
+    return [
+        fit if isinstance(fit, Exception) else replace(fit, cv_score=pick[0])
+        for fit, pick in zip(finals, picks)
+    ]
 
 
-def _path_coefs(jobs, lams: list) -> list[np.ndarray]:
+def _path_coefs(jobs, lams: list) -> list:
     """Coefficients (F, M, L, k, d) of each ``(design, parts, mixes)`` job:
     for every fold in ``parts`` (trained on the other rows), l1 weight in
     ascending ``mixes`` and strength in the descending ``lams`` all jobs
-    share.
+    share; a job whose SVD fails gets its ``NumericalError`` instead.
 
-    Weight 0 is ridge: the jobs with one design shape and one ``parts``
-    list share a stacked SVD per fold, of at most ``_ROW_CAP`` rows, which
-    serves every strength (see :func:`_ridge_path`).  Strength 0 is
-    minimum-norm least squares, one ``lstsq`` per job and fold.  Every other
-    cell is one row of a single ``_enet_solve`` batch per strength and number
-    of design columns: all (job, fold, weight, target) rows walk the
-    strengths from strong to weak together, each row's feature-sign search
-    starting from its solution at the previous strength.  Lasso is the
-    weight-1 row, so lasso and elastic net share the walk.
+    Weight 0 (ridge) and strength 0 (least squares) are closed form, from
+    stacked SVDs per fold (see :func:`_fold_paths`).  Every other cell is one
+    row of a single ``_enet_solve`` batch per strength and number of design
+    columns: all (job, fold, weight, target) rows walk the strengths from
+    strong to weak together, each warm-started from the previous strength
+    (see :func:`_walk`).  Lasso is the weight-1 row.
     """
     pos = [lam for lam in lams if lam > 0.0]
-    outs, walks, ridges = [], {}, {}
-    for j, (design, parts, mixes) in enumerate(jobs):
-        k, d = design.x.shape[1], design.d
-        out = np.empty((len(parts), len(mixes), len(lams), k, d))
+    outs = stacked(
+        [
+            # The lowest weight's row takes the closed-form cells: every
+            # strength for ridge, else strength 0 alone.
+            (design, parts, lams if mixes[0] == 0.0 else lams[len(pos) :],
+             np.empty((len(parts), len(mixes), len(lams), design.x.shape[1], design.d)))
+            for design, parts, mixes in jobs
+        ],
+        lambda item: (item[0].x.shape, item[0].d, id(item[1]), len(item[2])),
+        _fold_paths,
+        failure="least-squares fit failed",
+    )
+    walks: dict[int, list] = {}
+    for (design, parts, mixes), out in zip(jobs, outs):
         l1_mix = [mix for mix in mixes if mix > 0.0]
-        if pos and len(l1_mix) < len(mixes):
-            ridges.setdefault((design.x.shape, d, id(parts)), []).append(j)
-        lstsq, walk = len(pos) < len(lams), bool(pos and l1_mix)
-        for f, val_idx in enumerate(parts if lstsq or walk else ()):
+        if isinstance(out, Exception) or not (pos and l1_mix):
+            continue
+        for f, val_idx in enumerate(parts):
             rows = _train_rows(design.t_rows, val_idx)
-            x, y = design.x[rows], design.y[rows]
-            if lstsq:
-                out[f, :, -1] = np.linalg.lstsq(x, y, rcond=None)[0]
-            if walk:
-                cells = out[f, len(mixes) - len(l1_mix) :, : len(pos)]
-                walks.setdefault(k, []).append((cells, _moments(x, y), l1_mix))
-        outs.append(out)
-    designs = [design for design, _, _ in jobs]
-    for members in ridges.values():
-        parts = jobs[members[0]][1]
-        for run, x, y in _stacked(designs, members):
-            for f, val_idx in enumerate(parts):
-                rows = _train_rows(x.shape[1], val_idx)
-                path = _ridge_path(np.compress(rows, x, axis=1), np.compress(rows, y, axis=1), pos)
-                for j, coef in zip(run, path):
-                    outs[j][f, 0, : len(pos)] = coef
+            cells = out[f, len(mixes) - len(l1_mix) :, : len(pos)]
+            moments = _moments(design.x[rows], design.y[rows])
+            walks.setdefault(design.x.shape[1], []).append((cells, moments, l1_mix))
     for folds in walks.values():
         _walk(folds, pos)
+    return outs
+
+
+def _fold_paths(items) -> list[np.ndarray]:
+    """The ``out`` (F, M, L, k, d) of each ``(design, parts, strengths, out)``
+    item of one design shape, ``parts`` and ``strengths``, with each fold's
+    closed-form cells at ``strengths`` (the last of ``out``'s) filled in:
+    the lowest weight's from one stacked SVD per fold and run of designs
+    (see :func:`_ridge_path`), and, at strength 0, every weight's."""
+    _, parts, strengths, _ = items[0]
+    outs = [out for *_, out in items]
+    if not strengths:
+        return outs
+    for run, x, y in _stacked([design for design, *_ in items], range(len(items))):
+        for f, val_idx in enumerate(parts):
+            rows = _train_rows(x.shape[1], val_idx)
+            x_f, y_f = np.compress(rows, x, axis=1), np.compress(rows, y, axis=1)
+            for i, coef in zip(run, _ridge_path(x_f, y_f, strengths)[0]):
+                outs[i][f, 0, -len(strengths) :] = coef
+                if strengths[-1] == 0.0:  # every weight's least-squares cell
+                    outs[i][f, 1:, -1] = coef[-1]
     return outs
 
 

@@ -20,14 +20,13 @@ only in data:
                      and violations are counted, not hidden.
 
 Processes run ``CHUNK_PROCESSES`` at a time.  A chunk's truths are sampled
-and set up together; each process then simulates its paths; then every
-path is fit, OLS one at a time and every cross-validated fit of one
-training size in one batch (:func:`estimators.fit_cv_batch`); then the
-fits' spectra, the companion powers, the window eigenvalues and the
-analytic risks of every record of the chunk are computed in stacked calls
-(:func:`process.prepare_spectra`, :func:`risk.prepare_pairs`), and last
-each record reads them and adds its own draws: Monte Carlo, the empirical
-risk and the thm1 bound.
+and set up together; each process then simulates its paths; then every fit
+of one training size is made in one batch (:func:`estimators.fit_cv_batch`);
+then the fits' spectra, the companion powers, the window eigenvalues and
+the analytic risks of every record of the chunk are computed in stacked
+calls (:func:`process.prepare_spectra`, :func:`risk.prepare_pairs`), and
+last each record reads them and adds its own draws: Monte Carlo, the
+empirical risk and the thm1 bound.
 
 Everything is a pure function of the config (including the master seed).
 Every process draws from its own generators, derived by counter-based
@@ -55,14 +54,7 @@ from .bounds import (
     thm1_bound,
 )
 from .errors import ConfigError, NumericalError
-from .estimators import (
-    ESTIMATORS,
-    OLS,
-    FitResult,
-    build_design,
-    fit_cv_batch,
-    fit_ols,
-)
+from .estimators import ESTIMATORS, OLS, FitResult, build_design, fit_cv_batch
 from .interventions import InterventionSpec
 from .process import (
     MIN_ESTIMATION_WINDOWS,
@@ -323,29 +315,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _fits(cfg: ExperimentConfig, train: SamplePath, p_fit: int, batch: list) -> list:
-    """Each estimator's fit of ``train``, in ``cfg.estimators`` order; a fit
-    that raises ``NumericalError`` ends the list with its error.
-
-    OLS is fit here.  A cross-validated fit is left as ``None``, and
-    ``(list, index, job)`` is appended to ``batch`` for :func:`fit_cv_batch`
-    to fill in.
-    """
-    fits: list = []
-    for estimator in cfg.estimators:
-        try:
-            if estimator == OLS:
-                fits.append(fit_ols(build_design(train, p_fit)))
-                continue
-            folds = min(cfg.cv_folds, train.n - p_fit)
-            batch.append((fits, len(fits), (build_design(train, p_fit), estimator, folds)))
-            fits.append(None)
-        except NumericalError as exc:
-            fits.append(exc)
-            break
-    return fits
-
-
 def _spec(omega: int, regime: str, nu: int) -> InterventionSpec:
     """The intervention a record of ``regime`` is scored under: component 1 at
     the most recent window step, or at every step of the order-``nu`` window."""
@@ -466,7 +435,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     :func:`_cells`.  The processes run ``CHUNK_PROCESSES`` at a time, in
     phases: their truths are sampled and set up together (see
     :func:`_truths`); each process simulates its paths, then every unit is
-    fit, every cross-validated fit of one size in one batch (see
+    fit, every fit of one size in one batch (see
     :func:`_chunk_units`); the fits' spectra, and the risks and window
     eigenvalues of every (fit, cell) of the chunk, are computed in stacked
     calls (:func:`prepare_spectra`, :func:`prepare_pairs`); and last each
@@ -515,7 +484,7 @@ class _Unit:
     truth: VarModel
     train: SamplePath
     test: SamplePath
-    fits: list  # see _fits
+    fits: list  # FitResult or NumericalError, in cfg.estimators order
     pairs: list  # (truth, fit model) of each fit; see _embedded
     records: list  # where the unit's records go
 
@@ -528,17 +497,25 @@ def _chunk_units(
     ``skipped``.
 
     The simulate phase draws each process's test path and, per size, its
-    training path.  The fit phase runs :func:`_fits` on each unit, and then
-    the cross-validations of every unit of one training size in one
-    :func:`fit_cv_batch` call.
+    training path.  The fit phase makes every estimator's fit of every unit
+    of one training size in one :func:`fit_cv_batch` call, whose failed fits
+    are ``NumericalError`` values.
     """
     units = _simulated_units(cfg, chunk, sizes, per_size, skipped)
     batches: dict[int, list] = {}
     for unit in units:
-        unit.fits = _fits(cfg, unit.train, p_fit, batches.setdefault(unit.train.n, []))
+        try:
+            design = build_design(unit.train, p_fit)
+        except NumericalError as exc:
+            unit.fits.append(exc)
+            continue
+        folds = min(cfg.cv_folds, unit.train.n - p_fit)
+        batches.setdefault(unit.train.n, []).extend(
+            (unit, (design, estimator, folds)) for estimator in cfg.estimators
+        )
     for batch in batches.values():
-        for (fits, k, _), fit in zip(batch, fit_cv_batch([job for _, _, job in batch])):
-            fits[k] = fit
+        for (unit, _), fit in zip(batch, fit_cv_batch([job for _, job in batch])):
+            unit.fits.append(fit)
     for unit in units:
         unit.pairs = [
             ModelPair(truth=unit.truth, fitted=_embedded(fit.model, unit.truth.d))
@@ -723,6 +700,8 @@ def _confounded_record(
     g_mc = _g_mc(cfg, pid, pair, spec, component=1)
     sigma2_hat = fit.model.noise_variance
     prop1 = (2.0 * kappa - 1.0) * max(s_emp - sigma2_hat, 0.0)
+    s_an = float(stat_risk(pair, cfg.omega)[0])
+    g_an = float(causal_risk(pair, spec)[0])
     delta_true = truth.spectrum.max_modulus
     thm1 = _thm1_rhs(cfg, pid, fit.model, train, cfg.omega, kappa, delta_true, counts)
     return ExperimentRecord(
@@ -736,11 +715,11 @@ def _confounded_record(
         delta_fit=fit.model.spectrum.max_modulus,
         coeffs_true=tuple(float(v) for v in truth.coeffs[0].ravel()),
         coeffs_fit=tuple(float(v) for v in fit.model.scalar_coeffs),
-        s_analytic=float(stat_risk(pair, cfg.omega)[0]),
+        s_analytic=s_an,
         s_empirical=s_emp,
-        g_analytic=float(causal_risk(pair, spec)[0]),
+        g_analytic=g_an,
         g_mc=g_mc,
-        abs_diff=abs(g_mc - s_emp),
+        abs_diff=abs(g_an - s_an),
         prop1_rhs=prop1,
         cor2_rhs=math.nan,
         thm1_rhs=thm1,

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from varcausal import estimators
-from varcausal.errors import BadInputError
+from varcausal.errors import BadInputError, NumericalError
 from varcausal.estimators import (
     DEFAULT_LAMBDA_GRID,
     LaggedDesign,
@@ -160,6 +160,82 @@ class TestFitOLS:
         resid = design.y - design.x @ fit.coef_matrix
         lhs = float(np.abs(design.x.T @ resid).max())
         assert lhs <= 1e-8 * np.linalg.norm(design.x) * np.linalg.norm(design.y)
+
+
+def least_squares_designs():
+    """(name, design): random designs, designs with T close to k, duplicated,
+    scaled and zero columns, an all-zero design, and d = 2."""
+    rng = np.random.default_rng(31)
+    out = []
+    for t_rows, k in [(50, 3), (200, 7), (9, 7), (8, 7), (7, 7), (6, 7), (2, 5)]:
+        x, y = rng.standard_normal((t_rows, k)), rng.standard_normal((t_rows, 1))
+        out.append((f"random {t_rows}x{k}", LaggedDesign(x=x, y=y, p=k, d=1)))
+    for name, col, source in [("duplicated", 3, 1), ("scaled", 2, 0), ("zero", 2, None)]:
+        for t_rows in (40, 4):
+            x, y = rng.standard_normal((t_rows, 4)), rng.standard_normal((t_rows, 1))
+            scale = 1.0 if name == "duplicated" else -3.0
+            x[:, col] = 0.0 if source is None else scale * x[:, source]
+            out.append((f"{name} column {t_rows}x4", LaggedDesign(x=x, y=y, p=4, d=1)))
+    zero = LaggedDesign(x=np.zeros((10, 3)), y=rng.standard_normal((10, 1)), p=3, d=1)
+    out.append(("all zero", zero))
+    for t_rows in (60, 5, 3):
+        x, y = rng.standard_normal((t_rows, 4)), rng.standard_normal((t_rows, 2))
+        out.append((f"d2 {t_rows}x4", LaggedDesign(x=x, y=y, p=2, d=2)))
+    x, y = rng.standard_normal((30, 4)), rng.standard_normal((30, 2))
+    x[:, 2] = x[:, 0]
+    out.append(("d2 duplicated column", LaggedDesign(x=x, y=y, p=2, d=2)))
+    return out
+
+
+class TestLeastSquaresRoute:
+    """Least squares goes through the stacked thin SVD; ``np.linalg.lstsq``
+    is its oracle here."""
+
+    @pytest.mark.parametrize("name, design", least_squares_designs())
+    def test_matches_lstsq(self, name, design):
+        want, _, rank, _ = np.linalg.lstsq(design.x, design.y, rcond=None)
+        scale = float(np.abs(want).max())
+        for fit in (fit_ols(design), fit_regularized(design, "lasso", 0.0)):
+            np.testing.assert_allclose(fit.coef_matrix, want, rtol=0, atol=1e-12 * scale)
+            assert fit.rank_deficient == (rank < design.x.shape[1])
+        # Every short design, and every design with a dependent column, is
+        # rank-deficient; the rest are not.
+        dependent = any(key in name for key in ("duplicated", "scaled", "zero"))
+        assert (rank < design.x.shape[1]) == (dependent or design.t_rows < design.x.shape[1])
+
+    def test_batch_gives_each_design_its_own_bits(self, monkeypatch):
+        designs = [design for _, design in least_squares_designs()]
+        alone = [fit_ols(design) for design in designs]
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        batch = fit_cv_batch([(design, "ols", 5) for design in designs + designs])
+        for got, want in zip(batch, alone + alone):
+            assert_same_fit(got, want)
+            assert got.cv_score is None and got.lam == 0.0
+        # One stacked SVD per design shape and number of targets.
+        keys = {(d.x.shape, d.d) for d in designs}
+        assert len(shapes) == len(keys)
+        assert sum(s[0] for s in shapes) == 2 * len(designs)
+
+    def test_failed_svd_fails_only_its_own_fit(self):
+        rng = np.random.default_rng(5)
+        good = [
+            LaggedDesign(x=rng.standard_normal((30, 3)), y=rng.standard_normal((30, 1)), p=3, d=1)
+            for _ in range(3)
+        ]
+        bad = LaggedDesign(x=good[0].x.copy(), y=good[0].y, p=3, d=1)
+        bad.x[4, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(bad.x, bad.y, rcond=None)
+        for estimator in ("ols", "ridge", "elasticNet"):
+            jobs = [(design, estimator, 5) for design in (good[0], bad, *good[1:])]
+            got = fit_cv_batch(jobs, mix_grid=(0.0, 0.5))
+            assert isinstance(got[1], NumericalError)
+            for fit, design in zip(got[:1] + got[2:], good):
+                assert_same_fit(fit, fit_cv_batch([(design, estimator, 5)], mix_grid=(0.0, 0.5))[0])
+        with pytest.raises(NumericalError):
+            fit_ols(bad)
 
 
 class TestFitRegularized:
@@ -533,9 +609,11 @@ class TestFitCVBatch:
         quiet = SamplePath(values=1e-3 * noise.values, seed=4, burn_in=0)
         return [
             (loud, 3, "lasso", 5), (loud, 3, "elasticNet", 5), (loud, 3, "ridge", 5),
-            (d2, 2, "lasso", 5), (d2, 2, "elasticNet", 5), (d2, 2, "ridge", 5),
-            (order4, 4, "lasso", 4), (order4, 4, "ridge", 4),
+            (loud, 3, "ols", 5),
+            (d2, 2, "lasso", 5), (d2, 2, "elasticNet", 5), (d2, 2, "ridge", 5), (d2, 2, "ols", 5),
+            (order4, 4, "lasso", 4), (order4, 4, "ridge", 4), (order4, 4, "ols", 4),
             (short, 3, "lasso", 3), (short, 3, "elasticNet", 3), (short, 3, "ridge", 3),
+            (short, 3, "ols", 3),
             (quiet, 3, "lasso", 5),
         ]
 
@@ -559,16 +637,24 @@ class TestFitCVBatch:
 
     def test_batch_equals_one_fit_cv_per_path(self, monkeypatch):
         jobs = self._jobs()
-        alone = [fit_cv(path, p, est, folds=folds) for path, p, est, folds in jobs]
-        calls = []
+        designs = [(build_design(path, p), est, folds) for path, p, est, folds in jobs]
         solve = estimators._enet_solve
-        monkeypatch.setattr(estimators, "_enet_solve", lambda *a: calls.append(0) or solve(*a))
-        batch = fit_cv_batch([(build_design(path, p), est, folds) for path, p, est, folds in jobs])
-        # Two column counts: one walk of the grid and one cold refit each.
-        assert len(calls) <= 2 * (len(DEFAULT_LAMBDA_GRID) + 1)
-        for (_, _, est, _), got, want in zip(jobs, batch, alone):
-            assert got.estimator == est
-            assert_same_fit(got, want)
+        # ORACLE_LAMS holds least squares (0.0) beside positive strengths.
+        grids = [(DEFAULT_LAMBDA_GRID, estimators.DEFAULT_MIX_GRID), (ORACLE_LAMS, ORACLE_MIXES)]
+        for lams, mixes in grids:
+            alone = [
+                fit_cv(path, p, est, lam_grid=lams, mix_grid=mixes, folds=folds)
+                for path, p, est, folds in jobs
+            ]
+            calls = []
+            monkeypatch.setattr(estimators, "_enet_solve", lambda *a: calls.append(0) or solve(*a))
+            batch = fit_cv_batch(designs, lams, mixes)
+            monkeypatch.undo()
+            # Two column counts: one walk of the grid and one cold refit each.
+            assert len(calls) <= 2 * (len(set(lams)) + 1)
+            for (_, _, est, _), got, want in zip(jobs, batch, alone):
+                assert got.estimator == est
+                assert_same_fit(got, want)
 
     @pytest.mark.parametrize(
         "lams, mixes",

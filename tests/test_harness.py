@@ -405,6 +405,20 @@ class TestConfounded:
             stat = n * r.g_mc / r.g_analytic
             assert n - 2 * math.sqrt(n * x) < stat < n + 2 * math.sqrt(n * x) + 2 * x
 
+    def test_abs_diff_is_the_analytic_gap_without_monte_carlo(self):
+        # Without draws g_mc is NaN, but abs_diff, as in every other mode, is
+        # |G - S| of the exact risks, so the summaries stay finite.
+        cfg = tiny_cfg(mode="confounded", orders=(2,), n_processes=10, mc_draws=0, bucket_size=5)
+        res = run(cfg)
+        assert len(res.records) == 10
+        for r in res.records:
+            assert math.isnan(r.g_mc)
+            assert r.abs_diff == abs(r.g_analytic - r.s_analytic)
+        buckets = res.summaries["confounded"]
+        assert len(buckets) == 2
+        for b in buckets:
+            assert all(math.isfinite(v) for v in (b.max_diff, b.mean_diff, b.q90_diff))
+
     def test_every_fit_order_has_records(self):
         # One block of processes per fit order, as in standard mode.
         res = run(tiny_cfg(mode="confounded", n_processes=4, orders=(1, 3), mc_draws=0))
@@ -653,6 +667,44 @@ class TestSkipReasons:
         assert meta["skipped_by_reason"] == {**want, reason: 2}
         assert meta["skipped"] == 2
         assert meta["n_records"] == base.metadata["n_records"] - 2
+
+
+    def test_failed_least_squares_skips_only_its_unit(self, monkeypatch):
+        # Process 1's design is not finite, so its SVD raises LinAlgError in
+        # a stacked call of the whole chunk.  Only its unit is skipped, once,
+        # under "fit"; every other record is as it was.
+        from varcausal import harness
+        from varcausal.estimators import LaggedDesign
+
+        cfg = tiny_cfg(n_processes=3, orders=(2,), estimators=("ols", "ridge"), bucket_size=1)
+        base = run(cfg)
+        target = [r for r in base.records if r.process_id == 1][0].coeffs_true
+        paths = []
+
+        def simulate(model, n, seed, **kw):
+            path = real_simulate(model, n, seed, **kw)
+            if tuple(model.scalar_coeffs) == target and n == cfg.n_train:
+                paths.append(path)
+            return path
+
+        def build_design(path, p):
+            design = real_build_design(path, p)
+            if any(path is target_path for target_path in paths):
+                x = design.x.copy()
+                x[5, 0] = np.nan
+                design = LaggedDesign(x=x, y=design.y, p=design.p, d=design.d)
+            return design
+
+        real_simulate, real_build_design = harness.simulate, harness.build_design
+        monkeypatch.setattr(harness, "simulate", simulate)
+        monkeypatch.setattr(harness, "build_design", build_design)
+        res = run(cfg)
+        assert paths
+        want = dict.fromkeys(("sampling", "simulation", "fit", "scoring"), 0)
+        assert res.metadata["skipped_by_reason"] == {**want, "fit": 1}
+        kept = [r for r in base.records if r.process_id != 1]
+        assert len(kept) == len(base.records) - 2
+        assert records_to_csv(res.records) == records_to_csv(kept)
 
 
 class TestSingularWindows:

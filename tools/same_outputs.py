@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/same_outputs.py PARENT CHANGE
+    python3 tools/same_outputs.py PARENT CHANGE [--rtol R --atol A]
 
 PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
 (imported from its own ``src``, single-threaded BLAS) on the same configs:
@@ -19,19 +19,28 @@ PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
   two chunks of different sizes, and 2-fold designs of 1 row for 7 lags;
 * misspecified orders (``order_pairs``), where the fit and true orders differ;
 * orders 7 and 8 with ``max_tries = 3000``, where sampling skips processes;
-* order 10, whose state dimension takes the bilinear Lyapunov solver.
+* order 10, whose state dimension solves its Lyapunov system one model at a
+  time.
 
-Every ``*.csv`` must be byte-identical, and ``metadata.json`` must hold the
-same value (as JSON) for every key PARENT writes; keys only CHANGE writes
-are listed but allowed.  Exit status 0 means every config matched, 1 that
-one did not.  Only the standard library is used.
+Each config is reported as ``same``, ``close`` or ``differ``.  It is the same
+when every ``*.csv`` is byte-identical.  With ``--rtol`` or ``--atol`` it is
+close when CHANGE's CSVs pass ``compare_reference`` of CHANGE's
+``perfbench/check.py`` against PARENT's: every cell within
+``atol + rtol * |parent|``, NaN only against NaN, an infinity or text only
+against itself; the report gives the largest relative and absolute
+difference.  Either way ``metadata.json`` must hold the same
+value (as JSON) for every key PARENT writes; keys only CHANGE writes are
+listed but allowed.  Exit status 0 means every config was the same or
+close, 1 that one differed.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,19 +116,20 @@ ENV = {
 }
 
 
-def _workloads(root: Path) -> dict:
+def _perfbench(root: Path, name: str):
+    """The module ``perfbench/<name>.py`` of the checkout at ``root``."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", root / "perfbench" / "workloads.py"
+        f"perfbench_{name}", root / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses looks the module up
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
 def configs(change: Path) -> list[tuple[str, dict, int]]:
     out = []
-    for name, workload in _workloads(change).items():
+    for name, workload in _perfbench(change, "workloads").WORKLOADS.items():
         out += [(f"{name}@{seed}", workload.settings(), seed) for seed in SEEDS]
     out += [(name, cfg, seed) for name, (cfg, seed) in EXTRA.items()]
     return out
@@ -137,53 +147,88 @@ def run(root: Path, cfg: dict, seed: int, work: Path) -> tuple[int, Path]:
     return proc.returncode, out
 
 
-def compare(parent: Path, change: Path) -> list[str]:
-    """Differences between two output directories, as readable lines."""
+def _largest(parent: Path, change: Path, names) -> tuple[float, float]:
+    """The largest relative and absolute difference between the finite
+    numbers of CSV files ``names`` in two output directories."""
+    rel = diff = 0.0
+    for name in names:
+        rows = (csv.reader((d / name).read_text().splitlines()) for d in (change, parent))
+        for a, b in zip(*rows):
+            for x, y in zip(";".join(a).split(";"), ";".join(b).split(";")):
+                try:
+                    x, y = float(x), float(y)
+                except ValueError:
+                    continue
+                if math.isfinite(x - y) and x != y:
+                    diff = max(diff, abs(x - y))
+                    rel = max(rel, abs(x - y) / abs(y) if y else math.inf)
+    return rel, diff
+
+
+def compare(parent: Path, change: Path, check=None, rtol=None, atol=None):
+    """``(status, problems, largest)``: ``same``, ``close`` or ``differ``;
+    the differences between two output directories, as readable lines; and
+    the largest relative and absolute difference of their CSVs' numbers.
+    Without a tolerance every CSV must be byte-identical; with one, every
+    cell must pass ``compare_reference`` of ``check``, a checkout's
+    ``perfbench/check.py``."""
     problems = []
     csvs = sorted(p.name for p in parent.glob("*.csv"))
     if csvs != sorted(p.name for p in change.glob("*.csv")):
         problems.append(f"CSV files differ: {csvs} vs {sorted(p.name for p in change.glob('*.csv'))}")
-    for name in csvs:
-        if (change / name).exists() and (parent / name).read_bytes() != (change / name).read_bytes():
-            problems.append(f"{name} differs")
+    changed = [
+        name for name in csvs
+        if (change / name).exists()
+        and (parent / name).read_bytes() != (change / name).read_bytes()
+    ]
+    if rtol is None and atol is None:
+        problems += [f"{name} differs" for name in changed]
+    elif changed:
+        problems += check.compare_reference(change, parent, rtol or 0.0, atol or 0.0)
     old = json.loads((parent / "metadata.json").read_text())
     new = json.loads((change / "metadata.json").read_text())
     for key, value in old.items():
         if json.dumps(new.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
             problems.append(f"metadata.json[{key!r}]: {value!r} vs {new.get(key)!r}")
-    return problems
+    status = "differ" if problems else "close" if changed else "same"
+    return status, problems, _largest(parent, change, changed if status == "close" else ())
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
+    parser.add_argument("--rtol", type=float, help="relative tolerance of a close CSV cell")
+    parser.add_argument("--atol", type=float, help="absolute tolerance of a close CSV cell")
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
-    failed = 0
+    check = _perfbench(change, "check")
+    tally = dict.fromkeys(("same", "close", "differ"), 0)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for k, (name, cfg, seed) in enumerate(configs(change)):
             code_a, out_a = run(parent, cfg, seed, Path(tmp) / str(k) / "parent")
             code_b, out_b = run(change, cfg, seed, Path(tmp) / str(k) / "change")
             if code_a != 0 or code_b != 0:
+                status, largest = "differ", None
                 problems = [f"exit codes {code_a} (parent) and {code_b} (change)"]
             else:
-                problems = compare(out_a, out_b)
+                status, problems, largest = compare(out_a, out_b, check, args.rtol, args.atol)
             meta = out_b / "metadata.json"
             extra = []
             if not problems:
                 old = json.loads((out_a / "metadata.json").read_text())
                 extra = sorted(set(json.loads(meta.read_text())) - set(old))
             skipped = json.loads(meta.read_text()).get("skipped") if meta.exists() else None
-            status = "same" if not problems else "DIFFERENT"
-            print(f"{status:9} {name} (seed {seed}, skipped {skipped})"
+            print(f"{status:6} {name} (seed {seed}, skipped {skipped})"
+                  + (f"; largest difference {largest[0]:.2g} relative, {largest[1]:.2g} absolute"
+                     if status == "close" else "")
                   + (f"; new metadata keys {extra}" if extra else ""))
             for problem in problems:
-                print(f"          {problem}")
-            failed += bool(problems)
-    total = len(configs(change))
-    print(f"{total - failed} of {total} configs match")
-    return 1 if failed else 0
+                print(f"       {problem}")
+            tally[status] += 1
+    print(", ".join(f"{count} {status}" for status, count in tally.items())
+          + f" of {sum(tally.values())} configs")
+    return 1 if tally["differ"] else 0
 
 
 if __name__ == "__main__":
