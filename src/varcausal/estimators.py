@@ -386,17 +386,10 @@ def _enet_fits(items) -> list[FitResult]:
     ``_enet_solve`` call, one row per target."""
     targets = [design.d for design, *_ in items]
     moments = [_moments(design.x, design.y) for design, *_ in items]
-    strength = np.repeat([lam for _, _, lam, _ in items], targets)
-    mix = np.repeat([mix for *_, mix in items], targets)
-    xty = np.concatenate([m[1] for m in moments])
-    beta, ok, gap = _enet_solve(
-        np.repeat(np.stack([m[0] for m in moments]), targets, axis=0),
-        xty,
-        np.concatenate([m[2] for m in moments]),
-        strength * mix,
-        strength * (1.0 - mix),
-        np.zeros_like(xty),
-    )
+    gram = np.repeat(np.stack([m[0] for m in moments]), targets, axis=0)
+    xty, yy = (np.concatenate([m[n] for m in moments]) for n in (1, 2))
+    lam, mix = (np.repeat([item[n] for item in items], targets) for n in (2, 3))
+    beta, ok, gap = _enet_solve(gram, xty, yy, lam * mix, lam * (1.0 - mix), np.zeros_like(xty))
     ends = np.cumsum(targets)[:-1]
     return [
         _result_from_beta(
@@ -507,13 +500,11 @@ def _path_coefs(jobs, lams: list) -> list:
     """Coefficients (F, M, L, k, d) of each ``(design, parts, mixes)`` job:
     for every fold in ``parts`` (trained on the other rows), l1 weight in
     ascending ``mixes`` and strength in the descending ``lams`` all jobs
-    share; a job whose SVD fails gets its ``NumericalError`` instead.
+    share; or the ``NumericalError`` of its failed SVD or walk.
 
     Weight 0 (ridge) and strength 0 (least squares) are closed form, from
-    stacked SVDs per fold (see :func:`_fold_paths`).  Every other cell is one
-    row of a single ``_enet_solve`` batch per strength and number of design
-    columns: all (job, fold, weight, target) rows walk the strengths from
-    strong to weak together, each warm-started from the previous strength
+    stacked SVDs per fold (see :func:`_fold_paths`); every other cell comes
+    from one strong-to-weak, warm-started walk per number of design columns
     (see :func:`_walk`).  Lasso is the weight-1 row.
     """
     pos = [lam for lam in lams if lam > 0.0]
@@ -529,18 +520,18 @@ def _path_coefs(jobs, lams: list) -> list:
         _fold_paths,
         failure="least-squares fit failed",
     )
-    walks: dict[int, list] = {}
-    for (design, parts, mixes), out in zip(jobs, outs):
-        l1_mix = [mix for mix in mixes if mix > 0.0]
-        if isinstance(out, Exception) or not (pos and l1_mix):
-            continue
-        for f, val_idx in enumerate(parts):
-            rows = _train_rows(design.t_rows, val_idx)
-            cells = out[f, len(mixes) - len(l1_mix) :, : len(pos)]
-            moments = _moments(design.x[rows], design.y[rows])
-            walks.setdefault(design.x.shape[1], []).append((cells, moments, l1_mix))
-    for folds in walks.values():
-        _walk(folds, pos)
+    walks = [
+        n for n, ((_, _, mixes), out) in enumerate(zip(jobs, outs))
+        if pos and mixes[-1] > 0.0 and not isinstance(out, Exception)
+    ]
+    walked = stacked(
+        [(*jobs[n], outs[n]) for n in walks],
+        lambda item: item[0].x.shape[1],
+        lambda items: _walk(items, pos),
+        failure="lasso / elastic-net path failed",
+    )
+    for n, out in zip(walks, walked):
+        outs[n] = out
     return outs
 
 
@@ -572,16 +563,23 @@ def _train_rows(t_rows: int, val_idx: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _walk(folds: list, lams: list) -> None:
-    """Fill each fold's ``cells`` (M, L, k, d) along the positive, descending
-    ``lams``: one ``_enet_solve`` call per strength for every (fold, weight,
-    target) row, in that order.
+def _walk(items: list, lams: list) -> list:
+    """The ``out`` of each ``(design, parts, mixes, out)`` item of one number
+    of design columns, with each fold's positive-weight cells filled along
+    the positive, descending ``lams``: one ``_enet_solve`` call per strength
+    for every (item, fold, weight, target) row, in that order.
 
-    ``folds`` holds ``(cells, moments, l1 weights)`` of one number of design
-    columns.  While every |X'y/T| <= l1 zero is each row's exact solution
-    and the call is skipped; a row that is there in a batch that does run
-    stays exactly at zero, so any batch gives a row the same result.
+    While every |X'y/T| <= l1 zero is each row's exact solution and the call
+    is skipped; a row that is there in a batch that does run stays exactly
+    at zero, so any batch gives a row the same result.
     """
+    folds = []
+    for design, parts, mixes, out in items:
+        l1_mix = [mix for mix in mixes if mix > 0.0]
+        for f, val_idx in enumerate(parts):
+            rows = _train_rows(design.t_rows, val_idx)
+            cells = out[f, len(mixes) - len(l1_mix) :, : len(lams)]
+            folds.append((cells, _moments(design.x[rows], design.y[rows]), l1_mix))
     per_fold = [len(mixes) * len(m[2]) for _, m, mixes in folds]
     grams = np.stack([m[0] for _, m, _ in folds])
     gram = np.repeat(grams, per_fold, axis=0)
@@ -601,3 +599,4 @@ def _walk(folds: list, lams: list) -> None:
     k = xty.shape[1]
     for (cells, m, mixes), rows in zip(folds, np.split(path, np.cumsum(per_fold)[:-1], axis=1)):
         cells[...] = rows.reshape(len(lams), len(mixes), -1, k).transpose(1, 0, 3, 2)
+    return [out for *_, out in items]

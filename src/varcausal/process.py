@@ -52,9 +52,12 @@ _SAMPLE_ROWS = 4096
 #: and rows removed by the step-down screen.
 SAMPLE_COUNTS = ("drawn", "step_down_removed")
 
-#: State dimension from which each model's Kronecker-form Lyapunov system is
-#: solved on its own, to bound memory: 64 order-14 systems would take 20 MB.
-_SOLVE_ALONE_SIZE = 10
+#: State dimension from which ``scipy.linalg.solve_discrete_lyapunov`` turns to
+#: its bilinear method; below it the batched Kronecker solve gives its bits.
+#: The Kronecker system of a state of size s is s^2 x s^2 and takes O(s^6) to
+#: factor: 32 MB at s = 45 and 800 MB at s = 100, where the bilinear method
+#: takes milliseconds.
+_BILINEAR_SIZE = 10
 
 _EPS = float(np.finfo(float).eps)
 
@@ -489,21 +492,21 @@ def _spectra(models) -> list:
 def _state_covs(models) -> list:
     """Stationary state covariances, solving S = C S C' + S_e.
 
-    Every model solves ``(I - C kron C) vec(S) = vec(S_e)`` (Lutkepohl 2005,
-    sec. 2.1) by one batched ``scipy.linalg.solve``; the models of one state
-    size below ``_SOLVE_ALONE_SIZE`` share a call, and larger ones solve one
-    at a time.  scipy (1.17) divides by a 1 x 1 system but factors a stack of
-    them, and a factored solve may round differently, so scalar models are
-    solved alone.  A stack of systems needs scipy 1.15 or later.  That the
-    batched solve gives each model the bits of scipy's direct discrete
-    Lyapunov solver was checked on scipy 1.17 at state sizes 2 to 45;
-    ``TestPrepareModels`` in ``tests/test_process.py`` guards it.
+    Below ``_BILINEAR_SIZE`` the models of one state size share one batched
+    ``scipy.linalg.solve`` of ``(I - C kron C) vec(S) = vec(S_e)``, the system
+    ``solve_discrete_lyapunov`` solves for one model there; from that size on
+    each model calls ``solve_discrete_lyapunov``, which uses its bilinear method.
+    scipy (1.17) divides by a 1 x 1 system but factors a stack of them, and a
+    factored solve may round differently, so scalar models are solved alone.
+    A stack of systems needs scipy 1.15 or later.  That the batched solve gives
+    each model the bits of its own ``solve_discrete_lyapunov`` call was checked
+    on scipy 1.17; ``TestPrepareModels`` in ``tests/test_process.py`` guards it.
     """
     return stacked(
         [_stationary(m) for m in models],
         lambda model: model.d * model.p,
         _kron_solve,
-        alone=lambda size: size == 1 or size >= _SOLVE_ALONE_SIZE,
+        alone=lambda size: size == 1 or size >= _BILINEAR_SIZE,
         failure="stationary covariance solve failed",
     )
 
@@ -521,15 +524,19 @@ def _stationary(model: VarModel):
 
 def _kron_solve(models) -> list:
     size = models[0].d * models[0].p
-    comps = np.stack([m.companion.dense for m in models])
-    # I - C kron C, built as np.kron builds it (one product per entry), in
-    # place: the systems of a chunk of order-7 models take 1.2 MB.
-    lhs = (comps[:, :, None, :, None] * comps[:, None, :, None, :]).reshape(
-        len(models), size * size, size * size
-    )
-    np.subtract(np.eye(size * size), lhs, out=lhs)
-    rhs = np.stack([_noise_state(m).reshape(-1, 1) for m in models])
-    states = linalg.solve(lhs, rhs).reshape(-1, size, size)
+    if size >= _BILINEAR_SIZE:  # one model (see _state_covs)
+        (model,) = models
+        states = [linalg.solve_discrete_lyapunov(model.companion.dense, _noise_state(model))]
+    else:
+        comps = np.stack([m.companion.dense for m in models])
+        # I - C kron C, built as np.kron builds it (one product per entry), in
+        # place: the systems of a chunk of order-7 models take 1.2 MB.
+        lhs = (comps[:, :, None, :, None] * comps[:, None, :, None, :]).reshape(
+            len(models), size * size, size * size
+        )
+        np.subtract(np.eye(size * size), lhs, out=lhs)
+        rhs = np.stack([_noise_state(m).reshape(-1, 1) for m in models])
+        states = linalg.solve(lhs, rhs).reshape(-1, size, size)
     return [0.5 * (state + state.T) for state in states]
 
 

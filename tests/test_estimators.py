@@ -218,7 +218,7 @@ class TestLeastSquaresRoute:
         assert len(shapes) == len(keys)
         assert sum(s[0] for s in shapes) == 2 * len(designs)
 
-    def test_failed_svd_fails_only_its_own_fit(self):
+    def test_failed_solver_fails_only_its_own_fit(self):
         rng = np.random.default_rng(5)
         good = [
             LaggedDesign(x=rng.standard_normal((30, 3)), y=rng.standard_normal((30, 1)), p=3, d=1)
@@ -228,12 +228,15 @@ class TestLeastSquaresRoute:
         bad.x[4, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.lstsq(bad.x, bad.y, rcond=None)
-        for estimator in ("ols", "ridge", "elasticNet"):
+        # Lasso, and the elastic net on positive weights only, fail in the
+        # strength walk's rank test rather than in an SVD.
+        cases = [(est, (0.0, 0.5)) for est in ("ols", "ridge", "lasso", "elasticNet")]
+        for estimator, mixes in cases + [("elasticNet", (0.5, 1.0))]:
             jobs = [(design, estimator, 5) for design in (good[0], bad, *good[1:])]
-            got = fit_cv_batch(jobs, mix_grid=(0.0, 0.5))
+            got = fit_cv_batch(jobs, mix_grid=mixes)
             assert isinstance(got[1], NumericalError)
             for fit, design in zip(got[:1] + got[2:], good):
-                assert_same_fit(fit, fit_cv_batch([(design, estimator, 5)], mix_grid=(0.0, 0.5))[0])
+                assert_same_fit(fit, fit_cv_batch([(design, estimator, 5)], mix_grid=mixes)[0])
         with pytest.raises(NumericalError):
             fit_ols(bad)
 

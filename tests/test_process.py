@@ -314,9 +314,8 @@ class TestExactAutocov:
         [(2, 3, 0.9), (2, 6, 0.95), (5, 3, 0.98), (3, 15, 0.95), (3, 15, 0.995)],
     )
     def test_state_cov_residual_and_psd_at_large_state_dims(self, d, p, radius):
-        # State dims 6 to 45, on both sides of the size from which each
-        # model's Kronecker system is solved alone.  Scaling A_l by c^l
-        # scales the spectrum by c.
+        # State dims 6 to 45: scipy switches from its Kronecker solve to
+        # Bartels-Stewart at 10.  Scaling A_l by c^l scales the spectrum by c.
         rng = np.random.default_rng(d * 100 + p)
         raw = [rng.standard_normal((d, d)) for _ in range(p)]
         scale = radius / spectrum(build_companion(raw)).max_modulus
@@ -405,9 +404,7 @@ class TestPrepareModels:
             assert model.spectrum.char_residual == alone.spectrum.char_residual
             noise = np.zeros_like(alone.companion.dense)
             noise[:d, :d] = alone.noise_variance * np.eye(d)
-            want_state = linalg.solve_discrete_lyapunov(
-                alone.companion.dense, noise, method="direct"
-            )
+            want_state = linalg.solve_discrete_lyapunov(alone.companion.dense, noise)
             want_state = 0.5 * (want_state + want_state.T)
             np.testing.assert_array_equal(model.state_cov, alone.state_cov)
             np.testing.assert_array_equal(model.state_cov, want_state)

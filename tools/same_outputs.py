@@ -19,8 +19,7 @@ PARENT and CHANGE are checkout roots.  Each runs ``varcausal experiment``
   two chunks of different sizes, and 2-fold designs of 1 row for 7 lags;
 * misspecified orders (``order_pairs``), where the fit and true orders differ;
 * orders 7 and 8 with ``max_tries = 3000``, where sampling skips processes;
-* order 10, whose state dimension solves its Lyapunov system one model at a
-  time.
+* order 10, whose state dimension takes the bilinear Lyapunov solver.
 
 Each config is reported as ``same``, ``close`` or ``differ``.  It is the same
 when every ``*.csv`` is byte-identical.  With ``--rtol`` or ``--atol`` it is
